@@ -24,16 +24,13 @@ use std::hint::black_box;
 use lq_bench::{bench_case, fmt_time, measure_median, print_header, print_row};
 use lq_core::api::W4A8Weights;
 use lq_core::microkernel::dispatch_counts;
-use lq_core::packed::{
-    Fp16Linear, Fp8Linear, PackedLqqLinear, PackedQoqLinear, W4A16Linear, W8A8Linear,
-};
+use lq_core::packed::{Fp16Linear, Fp8Linear, W4A16Linear, W8A8Linear};
 use lq_core::reference::max_abs_diff;
 use lq_core::serial::{
-    fp16_serial, fp8_serial, w4a16_serial, w4a8_lqq_serial, w4a8_qoq_serial, w4a8_serial,
-    w4a8_serial_with, w8a8_serial,
+    fp16_serial, fp8_serial, w4a16_serial, w4a8_serial, w4a8_serial_with, w8a8_serial,
 };
 use lq_core::shard::{ShardedGemm, ShardedWeights};
-use lq_core::{registry, KernelKind, LiquidGemm, MicrokernelSet, SimdVariant};
+use lq_core::{registry, BackendId, KernelKind, LiquidGemm, MicrokernelSet, SimdVariant};
 use lq_models::configs::LLAMA2_70B;
 use lq_models::shapes::decode_layer_shapes;
 use lq_quant::act::QuantizedActivations;
@@ -102,8 +99,7 @@ fn bench_decode_m1(lg: &LiquidGemm, weights: &W4A8Weights) -> f64 {
 /// At decode shapes (M ≤ 8) thread spawn+join dominates the tiny GEMM,
 /// so the persistent pool must win by a wide margin; by M = 64 the
 /// compute amortises the overhead and the gap narrows.
-fn pool_amortisation(lqq: &PackedLqqLinear) {
-    let weights = W4A8Weights::lqq(lqq.clone());
+fn pool_amortisation(weights: &W4A8Weights) {
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
     // The legacy per-call path spawned `ParallelConfig::default().workers`
     // scoped threads on every GEMM, independent of machine size; the
@@ -139,12 +135,12 @@ fn pool_amortisation(lqq: &PackedLqqLinear) {
                     .task_rows(16)
                     .build()
                     .expect("valid config");
-                black_box(fresh.gemm(&qa.q, &qa.scales, &weights, KernelKind::ImFp));
+                black_box(fresh.gemm(&qa.q, &qa.scales, weights, KernelKind::ImFp));
             }
         }) / CALLS as f64;
         let t_pool = measure_median(12, || {
             for _ in 0..CALLS {
-                black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::ImFp));
+                black_box(lg.gemm(&qa.q, &qa.scales, weights, KernelKind::ImFp));
             }
         }) / CALLS as f64;
         print_row(&[
@@ -351,7 +347,7 @@ fn run_decode_gate(decode_baseline: Option<f64>) {
         .build()
         .expect("valid config");
     let big = Mat::from_fn(N, K, |r, c| ((r * K + c) as f32 * 0.11).sin());
-    let weights = W4A8Weights::lqq(PackedLqqLinear::quantize(&big, 64));
+    let weights = W4A8Weights::quantize(&big, 64, BackendId::Lqq);
     let got_ns = bench_decode_m1(&lg, &weights);
     match decode_baseline {
         Some(base_ns) => {
@@ -497,8 +493,8 @@ fn main() {
     let w = Mat::from_fn(N, K, |r, c| ((r * K + c) as f32 * 0.11).sin());
     let x = Mat::from_fn(32, K, |r, c| ((r + c) as f32 * 0.07).cos());
     let qa = QuantizedActivations::quantize(&x, None);
-    let lqq = PackedLqqLinear::quantize(&w, 64);
-    let qoq = PackedQoqLinear::quantize(&w, 64);
+    let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
+    let qoq = W4A8Weights::quantize(&w, 64, BackendId::Qoq);
     let w8 = W8A8Linear::quantize(&w);
     let w4a16 = W4A16Linear::quantize(&w, 64);
     let f16 = Fp16Linear::encode(&w);
@@ -506,10 +502,10 @@ fn main() {
 
     println!("gemm_serial_m32 (N={N} K={K})");
     bench_case("w4a8_lqq", 10, || {
-        black_box(w4a8_lqq_serial(&qa.q, &qa.scales, &lqq));
+        black_box(w4a8_serial(&qa.q, &qa.scales, weights.as_dyn()));
     });
     bench_case("w4a8_qoq", 10, || {
-        black_box(w4a8_qoq_serial(&qa.q, &qa.scales, &qoq));
+        black_box(w4a8_serial(&qa.q, &qa.scales, qoq.as_dyn()));
     });
     bench_case("w8a8", 10, || {
         black_box(w8a8_serial(&qa.q, &qa.scales, &w8));
@@ -551,14 +547,13 @@ fn main() {
     // `lq_bench_decode_m1_ns` gauge the smoke gate compares against.
     println!("\nvariant_sweep (N={N} K={K}; serial M=32, persistent ImFP decode M=1)");
     print_header(&[("variant", 8), ("serial_m32", 11), ("decode_m1", 11)]);
-    let weights = W4A8Weights::lqq(lqq.clone());
     for v in [SimdVariant::Scalar, SimdVariant::Avx2, SimdVariant::Vnni] {
         let Some(vmk) = MicrokernelSet::for_variant(v) else {
             println!("{:>8}  (not detected on this CPU)", v.label());
             continue;
         };
         let t_serial = measure_median(10, || {
-            black_box(w4a8_serial_with(vmk, &qa.q, &qa.scales, &lqq));
+            black_box(w4a8_serial_with(vmk, &qa.q, &qa.scales, weights.as_dyn()));
         });
         let lgv = LiquidGemm::builder()
             .workers(workers)
@@ -595,6 +590,6 @@ fn main() {
 
     sharded_sweep();
 
-    pool_amortisation(&lqq);
-    let _ = pool_balance(&W4A8Weights::lqq(lqq), K, 64, 16, 24);
+    pool_amortisation(&weights);
+    let _ = pool_balance(&weights, K, 64, 16, 24);
 }

@@ -10,9 +10,8 @@ use std::hint::black_box;
 
 use lq_bench::bench_case;
 use lq_core::api::W4A8Weights;
-use lq_core::packed::PackedLqqLinear;
-use lq_core::serial::w4a8_lqq_serial;
-use lq_core::{KernelKind, LiquidGemm};
+use lq_core::serial::w4a8_serial;
+use lq_core::{BackendId, KernelKind, LiquidGemm};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
 
@@ -25,7 +24,7 @@ fn main() {
     let w = Mat::from_fn(N, K, |r, cc| ((r * K + cc) as f32 * 0.05).sin());
     let x = Mat::from_fn(M, K, |r, cc| ((r + cc) as f32 * 0.09).cos());
     let qa = QuantizedActivations::quantize(&x, None);
-    let lqq = PackedLqqLinear::quantize(&w, 64);
+    let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
     // One persistent pool for all variants — the paper's persistent
     // kernel: workers outlive every call below.
@@ -35,11 +34,10 @@ fn main() {
         .stages(2 * workers)
         .build()
         .expect("valid config");
-    let weights = W4A8Weights::lqq(lqq.clone());
 
     println!("pipeline_m64 (N={N} K={K} workers={workers})");
     bench_case("serial", 10, || {
-        black_box(w4a8_lqq_serial(&qa.q, &qa.scales, &lqq));
+        black_box(w4a8_serial(&qa.q, &qa.scales, weights.as_dyn()));
     });
     bench_case("flat_parallel", 10, || {
         black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::FlatParallel));

@@ -14,9 +14,9 @@
 
 use lq_bench::{fmt_time, measure_median, print_header, print_row};
 use lq_core::api::W4A8Weights;
-use lq_core::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
-use lq_core::serial::{w4a8_lqq_serial, w4a8_qoq_serial, w8a8_serial};
-use lq_core::{KernelKind, LiquidGemm};
+use lq_core::packed::W8A8Linear;
+use lq_core::serial::{w4a8_serial, w8a8_serial};
+use lq_core::{BackendId, KernelKind, LiquidGemm};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
 use lq_rng::Rng;
@@ -30,8 +30,8 @@ fn main() {
 
     let mut rng = Rng::new(7);
     let w = Mat::from_fn(n, k, |_, _| rng.range_f32(-1.0, 1.0));
-    let lqq = PackedLqqLinear::quantize(&w, 64);
-    let qoq = PackedQoqLinear::quantize(&w, 64);
+    let lqq = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
+    let qoq = W4A8Weights::quantize(&w, 64, BackendId::Qoq);
     let w8 = W8A8Linear::quantize(&w);
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
     let lg = LiquidGemm::builder()
@@ -40,7 +40,6 @@ fn main() {
         .stages(2 * workers)
         .build()
         .expect("valid config");
-    let weights = W4A8Weights::lqq(lqq.clone());
 
     println!("== CPU kernel wall-clock, {n}x{k} weights, {workers} workers ==\n");
     print_header(&[
@@ -58,22 +57,22 @@ fn main() {
         let x = Mat::from_fn(m, k, |_, _| rng.range_f32(-2.0, 2.0));
         let qa = QuantizedActivations::quantize(&x, None);
         let t_lqq = measure_median(reps, || {
-            std::hint::black_box(w4a8_lqq_serial(&qa.q, &qa.scales, &lqq));
+            std::hint::black_box(w4a8_serial(&qa.q, &qa.scales, lqq.as_dyn()));
         });
         let t_qoq = measure_median(reps, || {
-            std::hint::black_box(w4a8_qoq_serial(&qa.q, &qa.scales, &qoq));
+            std::hint::black_box(w4a8_serial(&qa.q, &qa.scales, qoq.as_dyn()));
         });
         let t_w8 = measure_median(reps, || {
             std::hint::black_box(w8a8_serial(&qa.q, &qa.scales, &w8));
         });
         let t_flat = measure_median(reps, || {
-            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::FlatParallel));
+            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &lqq, KernelKind::FlatParallel));
         });
         let t_excp = measure_median(reps, || {
-            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::ExCp));
+            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &lqq, KernelKind::ExCp));
         });
         let t_imfp = measure_median(reps, || {
-            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::ImFp));
+            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &lqq, KernelKind::ImFp));
         });
         print_row(&[
             (m.to_string(), 6),

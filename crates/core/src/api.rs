@@ -13,7 +13,6 @@ use std::sync::Arc;
 use lq_quant::backend::{resolve, BackendId, PackedWeights};
 use lq_quant::mat::Mat;
 
-use crate::packed::{PackedLqqLinear, PackedQoqLinear};
 pub use crate::pipeline::ParallelConfig;
 
 /// Pipeline strategy for the W4A8 kernel.
@@ -36,7 +35,7 @@ pub enum KernelKind {
 /// packed representation. Construct with [`W4A8Weights::quantize`] (or
 /// through [`crate::LiquidGemm::pack_weights`], which uses the
 /// handle's configured backend), or wrap an already-packed linear with
-/// [`W4A8Weights::lqq`] / [`W4A8Weights::qoq`] / [`W4A8Weights::from_arc`].
+/// [`W4A8Weights::from_arc`].
 #[derive(Clone)]
 pub struct W4A8Weights {
     packed: Arc<dyn PackedWeights>,
@@ -49,22 +48,6 @@ impl W4A8Weights {
     pub fn quantize(w: &Mat<f32>, group: usize, id: BackendId) -> Self {
         Self {
             packed: resolve(id).pack(w, group),
-        }
-    }
-
-    /// Wrap already-packed LiquidQuant weights.
-    #[must_use]
-    pub fn lqq(w: PackedLqqLinear) -> Self {
-        Self {
-            packed: Arc::new(w),
-        }
-    }
-
-    /// Wrap already-packed QServe/QoQ weights.
-    #[must_use]
-    pub fn qoq(w: PackedQoqLinear) -> Self {
-        Self {
-            packed: Arc::new(w),
         }
     }
 
@@ -151,7 +134,7 @@ mod tests {
         let xf = Mat::from_fn(m, k, |r, c| ((r * k + c) as f32 * 0.19).sin());
         let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.03).cos());
         let qa = QuantizedActivations::quantize(&xf, None);
-        let w = W4A8Weights::lqq(PackedLqqLinear::quantize(&wf, 64));
+        let w = W4A8Weights::quantize(&wf, 64, BackendId::Lqq);
         assert_eq!(w.n(), n);
         assert_eq!(w.k(), k);
         assert_eq!(w.backend(), BackendId::Lqq);

@@ -1,100 +1,79 @@
-//! GEMM epilogue: level-1 dequantization, scale application, and the
-//! `(W·Xᵀ)ᵀ` output transposition trick.
+//! GEMM epilogue: the strip loop's output sinks (level-1 scale
+//! application, or exact integer sums) and the `(W·Xᵀ)ᵀ` output
+//! transposition.
 //!
 //! The paper fuses the first-level dequantization (per-channel weight
 //! scale × per-token activation scale) into the epilogue, where its cost
 //! amortises over the whole K reduction (Section 5.3). Section 5.4's
 //! shape trick — computing `Y = (W·Xᵀ)ᵀ` instead of `X·Wᵀ` — lets the
 //! kernel put the *large* dimension (N) on the MMA's flexible axis when
-//! the batch M is small; on the CPU the analogous decision is which
-//! operand the inner loops stream.
+//! the batch M is small; here every kernel fills the flat `N×M` `Yᵀ`
+//! (a block of output channels is contiguous, so a tile job owns one
+//! slice) and `assemble_output` is the trailing `ᵀ`.
 
 use lq_quant::mat::Mat;
 
-/// Scale an `M×N` i32 accumulator into f32 output:
-/// `y[i][j] = acc[i][j] · act[i] · ch[j]`.
-pub fn apply_scales_i32(acc: &Mat<i32>, act: &[f32], ch: &[f32], out: &mut Mat<f32>) {
-    assert_eq!(acc.rows(), out.rows());
-    assert_eq!(acc.cols(), out.cols());
-    assert_eq!(act.len(), acc.rows());
-    assert_eq!(ch.len(), acc.cols());
-    for (i, &ai) in act.iter().enumerate() {
-        let src = acc.row(i);
-        let dst = out.row_mut(i);
-        for j in 0..src.len() {
-            dst[j] = src[j] as f32 * ai * ch[j];
+/// Where the strip kernel's exact integer dot products go. The kernel
+/// hands every `(token, channel)` sum to the call's sink exactly once;
+/// the sink type is a generic parameter of the call, so the choice is
+/// resolved at compile time — no branch or virtual call per element.
+pub(crate) trait Sink: Send + Sync {
+    /// Element type of the tiles this sink produces.
+    type Out: Copy + Default + Send + 'static;
+
+    /// Per-token activation scales, when the sink applies them (the
+    /// shape check wants one per token).
+    fn act_scales(&self) -> Option<&[f32]>;
+
+    /// Turn one exact dot product into an output element. `ch` is the
+    /// output channel's level-1 scale.
+    fn emit(&self, tok: usize, ch: f32, sum: i64) -> Self::Out;
+}
+
+/// The fused level-1 epilogue `(sum · act[tok]) · ch`, in the operation
+/// order of `reference::epilogue_ref`. Holds the per-token activation
+/// scales.
+pub(crate) struct ScaleEpilogue(pub Vec<f32>);
+
+impl Sink for ScaleEpilogue {
+    type Out = f32;
+
+    fn act_scales(&self) -> Option<&[f32]> {
+        Some(&self.0)
+    }
+
+    #[inline]
+    fn emit(&self, tok: usize, ch: f32, sum: i64) -> f32 {
+        sum as f32 * self.0[tok] * ch
+    }
+}
+
+/// No epilogue: keep the exact sum. Row-parallel shards reduce these
+/// across K slices in integer arithmetic and scale once at the end
+/// (f32 partials would lose exactness above 2^24).
+pub(crate) struct ExactSum;
+
+impl Sink for ExactSum {
+    type Out = i64;
+
+    fn act_scales(&self) -> Option<&[f32]> {
+        None
+    }
+
+    #[inline]
+    fn emit(&self, _tok: usize, _ch: f32, sum: i64) -> i64 {
+        sum
+    }
+}
+
+/// Transpose the flat `N×M` buffer the kernels fill into the `M×N`
+/// output.
+pub(crate) fn assemble_output(y_t: Vec<f32>, m: usize, n: usize) -> Mat<f32> {
+    let mut y = Mat::zeros(m, n);
+    for j in 0..n {
+        for i in 0..m {
+            y.set(i, j, y_t[j * m + i]);
         }
     }
-}
-
-/// Scale one accumulator column (all tokens of output channel `j`) —
-/// the per-task epilogue used by the pipelined kernels, whose workers
-/// own disjoint channel ranges.
-pub fn apply_scales_column(acc_col: &[i32], act: &[f32], ch_scale: f32, out_col: &mut [f32]) {
-    assert_eq!(acc_col.len(), act.len());
-    assert_eq!(acc_col.len(), out_col.len());
-    for ((o, &a), &s) in out_col.iter_mut().zip(acc_col.iter()).zip(act.iter()) {
-        *o = a as f32 * s * ch_scale;
-    }
-}
-
-/// Decide whether the `(W·Xᵀ)ᵀ` rewrite pays off: with M below the
-/// hardware's fixed MMA height (64 on Hopper), computing with W as the
-/// "activation" operand fills the tensor core's m dimension with output
-/// channels instead of padding (paper, Section 5.4).
-#[must_use]
-pub fn should_transpose(m: usize, mma_m: usize) -> bool {
-    m < mma_m
-}
-
-/// Transpose an `N×M` result into `M×N` (the final `ᵀ` of `(W·Xᵀ)ᵀ`).
-#[must_use]
-pub fn transpose_out(y_t: &Mat<f32>) -> Mat<f32> {
-    y_t.transposed()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn full_scale_application() {
-        let acc = Mat::from_vec(2, 3, vec![1i32, 2, 3, 4, 5, 6]);
-        let mut out = Mat::zeros(2, 3);
-        apply_scales_i32(&acc, &[2.0, 10.0], &[1.0, 0.5, 0.1], &mut out);
-        assert_eq!(out.as_slice(), &[2.0, 2.0, 0.6, 40.0, 25.0, 6.0]);
-    }
-
-    #[test]
-    fn column_scale_matches_full() {
-        let acc = Mat::from_vec(3, 2, vec![1i32, 10, 2, 20, 3, 30]);
-        let act = [1.0f32, 0.5, 2.0];
-        let ch = [10.0f32, 0.1];
-        let mut full = Mat::zeros(3, 2);
-        apply_scales_i32(&acc, &act, &ch, &mut full);
-        for (j, &cj) in ch.iter().enumerate() {
-            let col: Vec<i32> = (0..3).map(|i| *acc.get(i, j)).collect();
-            let mut out = vec![0.0f32; 3];
-            apply_scales_column(&col, &act, cj, &mut out);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, *full.get(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_decision_uses_mma_height() {
-        assert!(should_transpose(4, 64));
-        assert!(should_transpose(63, 64));
-        assert!(!should_transpose(64, 64));
-        assert!(!should_transpose(256, 64));
-    }
-
-    #[test]
-    fn transpose_out_roundtrip() {
-        let y_t = Mat::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let y = transpose_out(&y_t);
-        assert_eq!((y.rows(), y.cols()), (2, 3));
-        assert_eq!(*y.get(1, 2), *y_t.get(2, 1));
-    }
+    y
 }

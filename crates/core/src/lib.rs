@@ -20,30 +20,30 @@
 //!   (LQQ, QoQ, LUT, codebook — see [`lq_quant::backend`]). Every W4A8
 //!   kernel entry point takes `&dyn` [`PackedWeights`], so any registry
 //!   backend runs on any pipeline.
-//! * [`microkernel`] — the raw (uncounted) SWAR dequant paths and the
-//!   integer/float dot-product kernels.
+//! * [`microkernel`] — the raw (uncounted) SWAR dequant paths, the
+//!   register-tiled INT8 microkernels behind [`MicrokernelSet`], and
+//!   the one lane reduction that hands out exact dot products.
+//! * [`simd`] — the explicit AVX2 / AVX-512-VNNI microkernel leaves.
 //! * [`reference`] — naive GEMM oracles used by every test.
-//! * [`serial`] — single-threaded kernels for all precisions (the
-//!   ablation's "no pipeline" variants).
+//! * [`serial`] — the one fused dequant→MMA strip loop every W4A8 path
+//!   runs, the serial W4A8 kernel built on it, and the single-threaded
+//!   baselines for the other precisions.
+//! * [`epilogue`] — the strip loop's output sinks (fused f32 scale
+//!   application, or exact integer sums) and the `(W·Xᵀ)ᵀ` helpers.
 //! * [`runtime`] — the persistent worker pool (the paper's §5.4
-//!   persistent kernel) behind the [`LiquidGemm`] handle: build once,
-//!   issue every GEMM through it.
-//! * [`pipeline`] — the parallel Flat/ImFP/ExCP kernels as tile-job
-//!   drivers over the pool, staging through a ring of recycled buffers
-//!   on the in-tree [`sync`] channel.
+//!   persistent kernel) and its tile jobs, behind the [`LiquidGemm`]
+//!   handle: build once, issue every GEMM through it.
+//! * [`pipeline`] — the one tile-job driver over the pool; Flat, ImFP
+//!   and ExCP differ only in how it stages tiles (fresh buffers, a ring
+//!   of recycled buffers on the in-tree [`sync`] channel, or the ring
+//!   plus the Dequant→MMA hop).
+//! * [`shard`] — tensor-parallel column/row sharding of one GEMM across
+//!   several pools, on the same driver.
 //! * [`sync`] — bounded MPMC channel (std mutex + condvar) with
-//!   `try_*` variants for stall accounting; doubles as the pool's
-//!   injector queue (its condvar wait is the worker park/unpark).
-//! * [`scheduler`] — persistent-kernel-style dynamic tile scheduler.
-//! * [`tiled`] — the GPU-structured tiled kernel (Mt×Nt×Kt main loop),
-//!   the executable twin of the cost model's decomposition.
-//! * [`epilogue`] — scale application and output transposition
-//!   (the `(W·Xᵀ)ᵀ` trick).
+//!   `try_*` variants for stall accounting.
+//! * [`affinity`] — worker-to-CPU placement.
 //! * [`api`] — the shared argument types every call site uses
 //!   ([`KernelKind`], [`W4A8Weights`], [`GemmOutput`]).
-//! * [`fused`] — tests for the FP32-activation front end with fused
-//!   per-token INT8 quantization (the serving system's fusion point),
-//!   [`LiquidGemm::gemm_f32`].
 //!
 //! When [`lq_telemetry::enable`] is on, the pipelines export stall
 //! counters, queue-depth gauges, and per-role span histograms (see
@@ -60,19 +60,16 @@
 pub mod affinity;
 pub mod api;
 pub mod epilogue;
-pub mod fused;
 pub mod microkernel;
 pub mod packed;
 pub mod pipeline;
 pub mod reference;
 pub mod runtime;
-pub mod scheduler;
 pub mod serial;
 pub mod shard;
 pub mod simd;
 pub mod sync;
 mod telemetry;
-pub mod tiled;
 
 pub use affinity::PlacementPolicy;
 pub use api::{GemmOutput, KernelKind, ParallelConfig, W4A8Weights};

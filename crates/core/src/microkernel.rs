@@ -242,47 +242,12 @@ pub fn accumulate_strip(a: &APanels, k0: usize, kc: usize, w_block: &[i8], acc: 
     }
 }
 
-/// Scatter channel lane `nr` of a strip accumulator (laid out as in
-/// [`accumulate_strip`]) into a length-`m` output row, applying
-/// per-token activation scales and the channel scale in the same
-/// `(acc · act) · ch` order as `epilogue::apply_scales_column`.
+/// Scatter channel lane `nr` of a scalar-family strip accumulator (laid
+/// out as in [`accumulate_strip`]) into a length-`m` output row:
+/// [`MicrokernelSet::scatter`] for [`MicrokernelSet::scalar`].
 #[inline]
 pub fn scatter_channel(a: &APanels, acc: &[i32], nr: usize, act: &[f32], ch: f32, out: &mut [f32]) {
-    debug_assert_eq!(acc.len(), a.acc_len());
-    debug_assert_eq!(act.len(), a.m());
-    debug_assert_eq!(out.len(), a.m());
-    for p in 0..a.panel_count() {
-        for mr in 0..MR {
-            let tok = p * MR + mr;
-            out[tok] = acc[p * MR * NR + nr * MR + mr] as f32 * act[tok] * ch;
-        }
-    }
-    let base = a.panel_count() * MR * NR;
-    for t in 0..a.tail_count() {
-        let tok = a.panel_count() * MR + t;
-        out[tok] = acc[base + t * NR + nr] as f32 * act[tok] * ch;
-    }
-}
-
-/// Raw-sum twin of [`scatter_channel`]: emit channel lane `nr`'s exact
-/// integer dot products (widened to i64) with **no** epilogue — the
-/// per-K-slice partials a row-parallel shard hands to the exact
-/// all-reduce, where the single final `(Σ · act) · ch` epilogue runs.
-#[inline]
-pub fn scatter_channel_raw(a: &APanels, acc: &[i32], nr: usize, out: &mut [i64]) {
-    debug_assert_eq!(acc.len(), a.acc_len());
-    debug_assert_eq!(out.len(), a.m());
-    for p in 0..a.panel_count() {
-        for mr in 0..MR {
-            let tok = p * MR + mr;
-            out[tok] = i64::from(acc[p * MR * NR + nr * MR + mr]);
-        }
-    }
-    let base = a.panel_count() * MR * NR;
-    for t in 0..a.tail_count() {
-        let tok = a.panel_count() * MR + t;
-        out[tok] = i64::from(acc[base + t * NR + nr]);
-    }
+    MicrokernelSet::scalar().scatter(a, acc, nr, act, ch, out);
 }
 
 /// f32 dot product (FP16/FP8/W4A16 baselines).
@@ -540,17 +505,58 @@ impl MicrokernelSet {
         }
     }
 
+    /// Reduce channel lane `nr` of a strip accumulator to one exact
+    /// integer dot product per token and hand each `(token, sum)` to
+    /// `emit` — the only place the per-chain lane partials are
+    /// horizontally summed and the VNNI `128·Σw` bias compensation is
+    /// applied. What `emit` does with the sum is the caller's output
+    /// sink: the f32 epilogue ([`MicrokernelSet::scatter`]) or an exact
+    /// store (row-parallel sharding's all-reduce operand).
+    ///
+    /// The reduction runs in i64, so the VNNI biased intermediates can
+    /// never wrap before the compensation is applied. The true sums fit
+    /// i32 for `K ≤ 2^17` (the same bound the scalar kernels document),
+    /// making the i64→f32 conversion bit-identical to a scalar
+    /// i32→f32. The scalar family is the `lanes == 1` case of the same
+    /// chain layout (see [`accumulate_strip`]).
+    #[inline]
+    pub fn reduce(self, a: &APanels, acc: &[i32], nr: usize, mut emit: impl FnMut(usize, i64)) {
+        let sh = self.shape(a.m());
+        let (mr, strip, lanes) = (sh.mr, sh.strip, sh.lanes);
+        debug_assert_eq!(acc.len(), self.acc_len(a));
+        let panels = a.m() / mr;
+        let chains = a.m() * strip;
+        let lane_sum = |chain: usize| -> i64 {
+            acc[chain * lanes..(chain + 1) * lanes]
+                .iter()
+                .map(|&v| i64::from(v))
+                .sum()
+        };
+        let wsum = if self.variant == SimdVariant::Vnni {
+            lane_sum(chains + nr)
+        } else {
+            0
+        };
+        for tok in 0..a.m() {
+            let chain = if tok < panels * mr {
+                (tok / mr) * strip * mr + nr * mr + tok % mr
+            } else {
+                panels * strip * mr + (tok - panels * mr) * strip + nr
+            };
+            let s = lane_sum(chain) - 128 * wsum;
+            debug_assert!(
+                i32::try_from(s).is_ok(),
+                "i8 GEMM accumulator exceeded i32 (K > 2^17?)"
+            );
+            emit(tok, s);
+        }
+    }
+
     /// Scatter channel lane `nr` of a strip accumulator into a
     /// length-`m` output row, applying per-token activation scales and
-    /// the channel scale in the same `(acc · act) · ch` order as
-    /// `epilogue::apply_scales_column`.
-    ///
-    /// For the SIMD families this is where the per-chain lane partials
-    /// are horizontally reduced — in i64, so the VNNI biased
-    /// intermediates can never wrap before the `128·Σw` compensation is
-    /// applied. The true sums fit i32 for `K ≤ 2^17` (the same bound
-    /// the scalar kernels document), making the i64→f32 conversion
-    /// bit-identical to the scalar i32→f32.
+    /// the channel scale in the `(acc · act) · ch` order of
+    /// `reference::epilogue_ref` — [`MicrokernelSet::reduce`] with the
+    /// f32 epilogue as its sink.
     pub fn scatter(
         self,
         a: &APanels,
@@ -560,109 +566,9 @@ impl MicrokernelSet {
         ch: f32,
         out: &mut [f32],
     ) {
-        if self.variant == SimdVariant::Scalar {
-            scatter_channel(a, acc, nr, act, ch, out);
-            return;
-        }
-        let sh = self.shape(a.m());
-        let (mr, strip, lanes) = (sh.mr, sh.strip, sh.lanes);
-        debug_assert_eq!(acc.len(), self.acc_len(a));
         debug_assert_eq!(act.len(), a.m());
         debug_assert_eq!(out.len(), a.m());
-        let panels = a.m() / mr;
-        let chains = a.m() * strip;
-        let wsum: i64 = if self.variant == SimdVariant::Vnni {
-            acc[(chains + nr) * lanes..(chains + nr + 1) * lanes]
-                .iter()
-                .map(|&v| i64::from(v))
-                .sum()
-        } else {
-            0
-        };
-        for (tok, o) in out.iter_mut().enumerate() {
-            let chain = if tok < panels * mr {
-                (tok / mr) * strip * mr + nr * mr + tok % mr
-            } else {
-                panels * strip * mr + (tok - panels * mr) * strip + nr
-            };
-            let s: i64 = acc[chain * lanes..(chain + 1) * lanes]
-                .iter()
-                .map(|&v| i64::from(v))
-                .sum::<i64>()
-                - 128 * wsum;
-            debug_assert!(
-                i32::try_from(s).is_ok(),
-                "i8 GEMM accumulator exceeded i32 (K > 2^17?)"
-            );
-            *o = s as f32 * act[tok] * ch;
-        }
-    }
-
-    /// Raw-sum twin of [`MicrokernelSet::scatter`]: the same per-token
-    /// horizontal reduction (including the VNNI `128·Σw` bias
-    /// compensation, so the i64 value *is* the true signed dot
-    /// product), but written as exact i64 integers with no epilogue.
-    /// Row-parallel shards sum these across K slices before the single
-    /// final scale application — the all-reduce stays in integers, so
-    /// sharded results are bit-identical to the unsharded kernel.
-    pub fn scatter_raw(self, a: &APanels, acc: &[i32], nr: usize, out: &mut [i64]) {
-        if self.variant == SimdVariant::Scalar {
-            scatter_channel_raw(a, acc, nr, out);
-            return;
-        }
-        let sh = self.shape(a.m());
-        let (mr, strip, lanes) = (sh.mr, sh.strip, sh.lanes);
-        debug_assert_eq!(acc.len(), self.acc_len(a));
-        debug_assert_eq!(out.len(), a.m());
-        let panels = a.m() / mr;
-        let chains = a.m() * strip;
-        let wsum: i64 = if self.variant == SimdVariant::Vnni {
-            acc[(chains + nr) * lanes..(chains + nr + 1) * lanes]
-                .iter()
-                .map(|&v| i64::from(v))
-                .sum()
-        } else {
-            0
-        };
-        for (tok, o) in out.iter_mut().enumerate() {
-            let chain = if tok < panels * mr {
-                (tok / mr) * strip * mr + nr * mr + tok % mr
-            } else {
-                panels * strip * mr + (tok - panels * mr) * strip + nr
-            };
-            *o = acc[chain * lanes..(chain + 1) * lanes]
-                .iter()
-                .map(|&v| i64::from(v))
-                .sum::<i64>()
-                - 128 * wsum;
-        }
-    }
-
-    /// `strip_width()` dot products of one activation row's K range
-    /// `[k0, k0+kc)` against a dequantized weight strip, *added* into
-    /// `out` — the tiled kernel's per-group accumulation step.
-    /// `kc ≤ 2^14` (every quant group is).
-    pub fn dot_strip(
-        self,
-        a: &APanels,
-        row: usize,
-        k0: usize,
-        kc: usize,
-        w_block: &[i8],
-        out: &mut [i32],
-    ) {
-        match self.variant {
-            SimdVariant::Scalar => {
-                let tile: &mut [i32; NR] = (&mut out[..NR]).try_into().expect("NR strip");
-                mk_i8_1x4(a.row_kslice(row, k0, k0 + kc), w_block, kc, tile);
-            }
-            SimdVariant::Avx2 => {
-                simd::avx2_dot_strip(a.row_kslice(row, k0, k0 + kc), w_block, kc, out);
-            }
-            SimdVariant::Vnni => {
-                simd::vnni_dot_strip(a.row_kslice_biased(row, k0, k0 + kc), w_block, kc, out);
-            }
-        }
+        self.reduce(a, acc, nr, |tok, s| out[tok] = s as f32 * act[tok] * ch);
     }
 
     /// Bump the per-variant/per-shape dispatch counter (one count per
@@ -921,12 +827,12 @@ mod tests {
         }
     }
 
-    /// `scatter_raw` must emit exactly the integer sum `scatter`
-    /// applies its epilogue to: for every detected variant,
-    /// `raw as f32 * act * ch` reproduces `scatter`'s output
-    /// bit-for-bit, and `raw` equals the naive i64 dot product.
+    /// `reduce` must hand out exactly the integer sum `scatter` applies
+    /// its epilogue to: for every detected variant,
+    /// `sum as f32 * act * ch` reproduces `scatter`'s output
+    /// bit-for-bit, and `sum` equals the naive i64 dot product.
     #[test]
-    fn scatter_raw_is_the_exact_pre_epilogue_sum() {
+    fn reduce_hands_out_the_exact_pre_epilogue_sum() {
         let mut rng = lq_rng::Rng::new(0x5A44_0A11);
         for v in SimdVariant::detected() {
             let mk = MicrokernelSet::for_variant(v).expect("detected implies available");
@@ -944,7 +850,7 @@ mod tests {
                     let mut out = vec![0.0f32; m];
                     mk.scatter(&a, &acc, nr, &act, ch, &mut out);
                     let mut raw = vec![0i64; m];
-                    mk.scatter_raw(&a, &acc, nr, &mut raw);
+                    mk.reduce(&a, &acc, nr, |tok, s| raw[tok] = s);
                     for i in 0..m {
                         assert_eq!(
                             raw[i],
@@ -984,28 +890,6 @@ mod tests {
                 mk.scatter(&a, &acc, nr, &act, 1.0, &mut out);
                 for &o in &out {
                     assert_eq!(o, (k as f32) * 16384.0, "{}", v.label());
-                }
-            }
-        }
-    }
-
-    /// `dot_strip` (the tiled kernel's primitive) against the scalar
-    /// 1×4 kernel for every detected variant.
-    #[test]
-    fn dot_strip_matches_scalar_for_all_variants() {
-        let mut rng = lq_rng::Rng::new(0x00D07);
-        for v in SimdVariant::detected() {
-            let mk = MicrokernelSet::for_variant(v).unwrap();
-            let strip = mk.strip_width();
-            for &kc in &[1usize, 16, 63, 64, 100, 256] {
-                let x = Mat::from_vec(3, kc, rng.vec_i8(3 * kc, -128, 127));
-                let a = APanels::pack(&x);
-                let w_block = rng.vec_i8(strip * kc, -128, 127);
-                let mut out = vec![7i32; strip]; // nonzero: dot_strip adds
-                mk.dot_strip(&a, 2, 0, kc, &w_block, &mut out);
-                for nr in 0..strip {
-                    let want = 7 + dot_i8(x.row(2), &w_block[nr * kc..(nr + 1) * kc]);
-                    assert_eq!(out[nr], want, "{} kc={kc} nr={nr}", v.label());
                 }
             }
         }

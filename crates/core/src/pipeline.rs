@@ -1,7 +1,9 @@
-//! Parallel W4A8 kernels: flat data-parallel, explicit coarse-grained
-//! pipeline (ExCP), and the implicit fine-grained pipeline (ImFP) — all
-//! running as tile jobs on the persistent [`WorkerPool`]
-//! (see [`crate::runtime`]) instead of spawning threads per call.
+//! The parallel W4A8 kernel: one tile-job driver (`drive`) over the
+//! persistent [`WorkerPool`] (see [`crate::runtime`]). Flat
+//! data-parallel, the explicit coarse-grained pipeline (ExCP) and the
+//! implicit fine-grained pipeline (ImFP) are the same driver, the same
+//! strip kernel ([`crate::serial`]) and the same reply path — a
+//! [`KernelKind`] only decides how tiles are staged.
 //!
 //! Mapping of the paper's Hopper structures (Figure 6) onto the pool:
 //!
@@ -9,61 +11,62 @@
 //! |-------------------------------|----------------------------------------|
 //! | persistent kernel (§5.4)      | the long-lived worker threads owned by |
 //! |                               | a [`crate::LiquidGemm`] handle         |
-//! | Load WG issuing TMA           | the calling thread staging packed      |
-//! |                               | weight tiles into recycled buffers     |
-//! | SMEM stages                   | the ring of owned `Vec<u32>` buffers   |
-//! |                               | circulating caller → worker → free     |
-//! | Compute WG (dequant + MMA)    | ImFP job: dequant a group into a       |
-//! |                               | register-file-sized buffer, dot it     |
-//! |                               | immediately (no round trip)            |
-//! | Dequant WG → SMEM → MMA WG    | ExCP: a Dequant job fully materialises |
-//! |                               | the INT8 tile, then forwards a second  |
-//! |                               | MMA job that re-reads it               |
+//! | Load WG issuing TMA           | the calling thread inside `drive`,     |
+//! |                               | copying packed weight tiles into stage |
+//! |                               | buffers                                |
+//! | SMEM stages                   | ImFP/ExCP: the ring of `cfg.stages`    |
+//! |                               | owned `Vec<u32>` buffers circulating   |
+//! |                               | caller → worker → free; Flat: a fresh  |
+//! |                               | buffer per tile, no bound              |
+//! | Compute WG (dequant + MMA)    | a Compute job: the strip kernel over   |
+//! |                               | one staged tile — dequant a K block    |
+//! |                               | into an L1-sized buffer, MMA it at     |
+//! |                               | once (no round trip)                   |
+//! | Dequant WG → SMEM → MMA WG    | ExCP only: a Dequant job materialises  |
+//! |                               | the whole INT8 tile, then forwards an  |
+//! |                               | Mma job that re-reads it               |
 //! | mbarrier sync between WGs     | the extra queue hop in ExCP            |
-//! | hardware task scheduling      | one bounded-MPMC recv per job          |
+//! | hardware task scheduling      | one deque pop (or steal) per job       |
+//! | epilogue / output fragment    | the call's `Sink`: f32 scale           |
+//! |                               | application, or exact i64 sums for the |
+//! |                               | row-parallel all-reduce                |
 //!
-//! All variants compute `Yᵀ = W·Xᵀ` — the paper's Section 5.4 rewrite —
+//! Every kind computes `Yᵀ = W·Xᵀ` — the paper's Section 5.4 rewrite —
 //! so each task (a block of output channels) owns a *contiguous* slice
-//! of the transposed output; workers return owned chunks the caller
+//! of the transposed output; workers return owned tiles the caller
 //! stitches together, and the final transpose is the trailing `ᵀ`.
-//! Integer accumulation is exact, so every variant stays bit-identical
-//! to the serial LQQ/QoQ kernels regardless of worker interleaving
-//! (tests at the bottom, in `tests/props.rs`, and under concurrency in
+//! Integer accumulation is exact, so every kind stays bit-identical to
+//! the serial kernel regardless of worker interleaving (tests at the
+//! bottom, in `tests/props.rs`, and under concurrency in
 //! `tests/runtime_stress.rs`).
-//!
-//! What still distinguishes the variants on the pool:
-//! * **Flat** stages tiles eagerly — the caller copies and enqueues as
-//!   fast as the injector queue accepts, allocating a fresh buffer per
-//!   task (no recycling, no stage bound). "Pipeline off" in Figure 13.
-//! * **ImFP** bounds staged tiles to `stages` recycled buffers; the
-//!   caller blocks on the free ring when compute is behind
-//!   (backpressure = the `load` stall counter).
-//! * **ExCP** adds the materialise-then-requeue round trip: each tile
-//!   crosses the queue twice and the INT8 intermediate is written and
-//!   re-read — the RF↔SMEM overhead the paper measures against ImFP.
 //!
 //! ## Telemetry
 //!
-//! When [`lq_telemetry::enable`] has been called, every variant records
+//! When [`lq_telemetry::enable`] has been called, a call records
 //! whole-call latency (`lq_gemm_ns`), per-role task spans
 //! (`lq_pipeline_task_ns`), would-block stalls on the stage ring
 //! (`lq_pipeline_stall_total{role="load"}` — the CPU analog of the
 //! warp-group stalls behind the paper's Fig. 10/13), task counts, and
-//! queue-occupancy gauges; the pool itself exports queue depth and
+//! queue-occupancy gauges, all labelled with the call's `variant`
+//! (`flat`/`imfp`/`excp`, and `flat_raw` for the row-parallel shards'
+//! exact-sum calls); the pool itself exports queue depth and
 //! per-worker busy/steal counters (see [`crate::runtime`]). Disabled
 //! (the default), instrumentation is a single relaxed load per call.
 
 use std::fmt;
 use std::sync::Arc;
 
-use lq_quant::backend::{PackedWeights, TileDequant};
+use lq_quant::backend::PackedWeights;
 use lq_quant::mat::Mat;
 
 use crate::affinity::PlacementPolicy;
-use crate::microkernel::{APanels, MicrokernelSet};
-use crate::runtime::{CallCtx, Job, Reply, WorkerPool};
-use crate::simd::{self, SimdVariant};
-use crate::sync::{bounded, Receiver, Sender};
+use crate::api::KernelKind;
+use crate::epilogue::Sink;
+use crate::microkernel::APanels;
+use crate::runtime::{CallCtx, Job, Reply, Staged, TileCall, WorkerPool};
+use crate::serial::{check_shapes, serial_tiles};
+use crate::simd::SimdVariant;
+use crate::sync::{bounded, Receiver};
 use crate::telemetry::{call_span, recv_counting, PipeMetrics};
 
 /// Parallel execution parameters.
@@ -217,253 +220,25 @@ impl ParallelConfigBuilder {
     }
 }
 
-/// Compute `Yᵀ` rows `[0, rows)` of a staged tile into `out_t` (length
-/// `rows·m`): the fused dequant+MMA job body (Flat and ImFP). Channels
-/// are walked a `strip_width()`-row strip at a time; each K block
-/// ([`MicrokernelSet::kc_block`]) is dequantized for the whole strip by
-/// the backend's [`TileDequant`] recipe — with the next block's packed
-/// words software-prefetched — then the selected register-tile
-/// microkernel family reduces it over every packed activation panel.
-pub(crate) fn compute_rows_staged(
-    mk: MicrokernelSet,
-    q: &dyn TileDequant,
-    words: &[u32],
-    rows: usize,
-    a: &APanels,
-    act_scales: &[f32],
-    out_t: &mut [f32],
-) {
-    let m = a.m();
-    mk.record_dispatch(m);
-    let group = q.group();
-    let k = q.k();
-    let strip = mk.strip_width();
-    let kcb = mk.kc_block(group, k);
-    let mut wbuf = vec![0i8; strip * kcb];
-    let mut acc = vec![0i32; mk.acc_len(a)];
-    let wpr = words.len() / rows.max(1);
-    for jb in (0..rows).step_by(strip) {
-        let nr = strip.min(rows - jb);
-        acc.fill(0);
-        let mut k0 = 0usize;
-        while k0 < k {
-            let kc = kcb.min(k - k0);
-            if nr < strip {
-                // Unused strip rows stay zero at the current row
-                // stride: their chains are never read back.
-                wbuf.fill(0);
-            }
-            // Hint the next K block's packed words while this block
-            // dequantizes and reduces.
-            for r in 0..nr {
-                simd::prefetch_read(words, (jb + r) * wpr + wpr * (k0 + kc) / k.max(1));
-            }
-            let g0 = k0 / group;
-            for r in 0..nr {
-                let dst = &mut wbuf[r * kc..(r + 1) * kc];
-                for (gg, chunk) in dst.chunks_mut(group).enumerate() {
-                    q.dequant_group(words, jb + r, g0 + gg, chunk);
-                }
-            }
-            mk.accumulate(a, k0, kc, &wbuf[..strip * kc], &mut acc);
-            k0 += kc;
-        }
-        for r in 0..nr {
-            let ch = q.channel_scales()[jb + r];
-            let row = &mut out_t[(jb + r) * m..(jb + r + 1) * m];
-            mk.scatter(a, &acc, r, act_scales, ch, row);
-        }
-    }
-}
-
-/// Raw-sum twin of [`compute_rows_staged`]: the identical staged
-/// dequant + accumulate loop, but each channel row is scattered as
-/// exact i64 pre-epilogue dot products (no activation / channel
-/// scaling). Row-parallel shards run this over their K slice and sum
-/// the integer partials across shards before the single final
-/// epilogue — which is what makes the sharded result bit-identical to
-/// the unsharded kernel.
-pub(crate) fn compute_rows_staged_raw(
-    mk: MicrokernelSet,
-    q: &dyn TileDequant,
-    words: &[u32],
-    rows: usize,
-    a: &APanels,
-    out_t: &mut [i64],
-) {
-    let m = a.m();
-    mk.record_dispatch(m);
-    let group = q.group();
-    let k = q.k();
-    let strip = mk.strip_width();
-    let kcb = mk.kc_block(group, k);
-    let mut wbuf = vec![0i8; strip * kcb];
-    let mut acc = vec![0i32; mk.acc_len(a)];
-    let wpr = words.len() / rows.max(1);
-    for jb in (0..rows).step_by(strip) {
-        let nr = strip.min(rows - jb);
-        acc.fill(0);
-        let mut k0 = 0usize;
-        while k0 < k {
-            let kc = kcb.min(k - k0);
-            if nr < strip {
-                wbuf.fill(0);
-            }
-            for r in 0..nr {
-                simd::prefetch_read(words, (jb + r) * wpr + wpr * (k0 + kc) / k.max(1));
-            }
-            let g0 = k0 / group;
-            for r in 0..nr {
-                let dst = &mut wbuf[r * kc..(r + 1) * kc];
-                for (gg, chunk) in dst.chunks_mut(group).enumerate() {
-                    q.dequant_group(words, jb + r, g0 + gg, chunk);
-                }
-            }
-            mk.accumulate(a, k0, kc, &wbuf[..strip * kc], &mut acc);
-            k0 += kc;
-        }
-        for r in 0..nr {
-            let row = &mut out_t[(jb + r) * m..(jb + r + 1) * m];
-            mk.scatter_raw(a, &acc, r, row);
-        }
-    }
-}
-
-/// ExCP stage 3 job body: register-tiled MMA from a materialised INT8
-/// tile (row-major, so full strips feed the microkernel in place).
-pub(crate) fn mma_rows(
-    mk: MicrokernelSet,
-    tile: &[i8],
-    k: usize,
-    channel_scales: &[f32],
-    a: &APanels,
-    act_scales: &[f32],
-    out_t: &mut [f32],
-) {
-    let m = a.m();
-    mk.record_dispatch(m);
-    let rows = channel_scales.len();
-    let strip = mk.strip_width();
-    let mut acc = vec![0i32; mk.acc_len(a)];
-    let mut pad = vec![0i8; strip * k];
-    for jb in (0..rows).step_by(strip) {
-        let nr = strip.min(rows - jb);
-        acc.fill(0);
-        if nr == strip {
-            mk.accumulate(a, 0, k, &tile[jb * k..(jb + strip) * k], &mut acc);
-        } else {
-            pad[..nr * k].copy_from_slice(&tile[jb * k..(jb + nr) * k]);
-            pad[nr * k..].fill(0);
-            mk.accumulate(a, 0, k, &pad, &mut acc);
-        }
-        for r in 0..nr {
-            let ch = channel_scales[jb + r];
-            let row = &mut out_t[(jb + r) * m..(jb + r + 1) * m];
-            mk.scatter(a, &acc, r, act_scales, ch, row);
-        }
-    }
-}
-
-/// Transpose the flat `N×M` buffer into an `M×N` [`Mat`].
-fn assemble_output(y_t: Vec<f32>, m: usize, n: usize) -> Mat<f32> {
-    let mut y = Mat::zeros(m, n);
-    for j in 0..n {
-        for i in 0..m {
-            y.set(i, j, y_t[j * m + i]);
-        }
-    }
-    y
-}
-
-fn check_shapes(x: &Mat<i8>, act_scales: &[f32], k: usize) {
-    assert_eq!(x.cols(), k, "K mismatch");
-    assert_eq!(act_scales.len(), x.rows(), "one scale per token");
-}
-
-/// Per-call shared context + reply channel, common to all variants.
-fn make_ctx(
-    pool: &WorkerPool,
-    x: &Mat<i8>,
-    act_scales: &[f32],
+/// Collect exactly `tasks` tile replies into the flat `N×M` buffer
+/// (`Yᵀ`; tile `j0` lands at `j0·m`). Re-panics if any job panicked in
+/// a worker *and* exhausted the pool's retry budget (transient faults
+/// are retried and never reach here; see the self-healing notes in
+/// [`crate::runtime`]).
+fn collect_tiles<T: Copy + Default>(
+    rx: &Receiver<Reply<T>>,
     tasks: usize,
-    recycle: Option<Sender<Vec<u32>>>,
-    metrics: &Option<Arc<PipeMetrics>>,
-) -> (Arc<CallCtx>, Receiver<Reply>, u64) {
-    make_ctx_mode(pool, x, act_scales, tasks, recycle, metrics, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_ctx_mode(
-    pool: &WorkerPool,
-    x: &Mat<i8>,
-    act_scales: &[f32],
-    tasks: usize,
-    recycle: Option<Sender<Vec<u32>>>,
-    metrics: &Option<Arc<PipeMetrics>>,
-    raw: bool,
-) -> (Arc<CallCtx>, Receiver<Reply>, u64) {
-    let (reply_tx, reply_rx) = bounded(tasks.max(1));
-    let epoch = pool.next_epoch();
-    let ctx = Arc::new(CallCtx {
-        // One pass over the block — the same cost the pre-tiling runtime
-        // paid to clone `x` into the call context.
-        a: APanels::pack(x),
-        act_scales: act_scales.to_vec(),
-        reply: reply_tx,
-        recycle,
-        epoch,
-        mk: pool.microkernels(),
-        metrics: metrics.clone(),
-        raw,
-    });
-    (ctx, reply_rx, epoch)
-}
-
-/// Collect exactly `tasks` tile replies and assemble the `M×N` output.
-/// Re-panics if any job panicked in a worker *and* exhausted the
-/// pool's retry budget (transient faults are retried and never reach
-/// here; see the self-healing notes in [`crate::runtime`]).
-fn collect_tiles(rx: &Receiver<Reply>, tasks: usize, m: usize, n: usize, epoch: u64) -> Mat<f32> {
-    let mut y_t = vec![0.0f32; n * m];
+    m: usize,
+    n: usize,
+    epoch: u64,
+) -> Vec<T> {
+    let mut y_t = vec![T::default(); n * m];
     for _ in 0..tasks {
         match rx.recv() {
             Ok(Reply::Done { j0, out, epoch: e }) => {
                 debug_assert_eq!(e, epoch, "cross-call reply mix-up");
                 let dst = j0 * m;
                 y_t[dst..dst + out.len()].copy_from_slice(&out);
-            }
-            Ok(Reply::RawDone { .. }) => {
-                unreachable!("raw reply on a scaled call (ctx.raw mode mix-up)")
-            }
-            Ok(Reply::Panicked) => {
-                panic!("LiquidGemm tile job panicked on every retry (deterministic bug)")
-            }
-            Err(_) => unreachable!("reply channel closed before all tiles arrived"),
-        }
-    }
-    assemble_output(y_t, m, n)
-}
-
-/// Raw-mode twin of [`collect_tiles`]: collect exactly `tasks` i64
-/// tile replies into the flat `N×M` pre-epilogue buffer (no transpose,
-/// no scales — the caller all-reduces across shards first).
-fn collect_tiles_raw(
-    rx: &Receiver<Reply>,
-    tasks: usize,
-    m: usize,
-    n: usize,
-    epoch: u64,
-) -> Vec<i64> {
-    let mut y_t = vec![0i64; n * m];
-    for _ in 0..tasks {
-        match rx.recv() {
-            Ok(Reply::RawDone { j0, out, epoch: e }) => {
-                debug_assert_eq!(e, epoch, "cross-call reply mix-up");
-                let dst = j0 * m;
-                y_t[dst..dst + out.len()].copy_from_slice(&out);
-            }
-            Ok(Reply::Done { .. }) => {
-                unreachable!("scaled reply on a raw call (ctx.raw mode mix-up)")
             }
             Ok(Reply::Panicked) => {
                 panic!("LiquidGemm tile job panicked on every retry (deterministic bug)")
@@ -474,34 +249,92 @@ fn collect_tiles_raw(
     y_t
 }
 
-/// Flat data-parallel W4A8 kernel on the persistent pool: the caller
-/// eagerly stages every tile (fresh buffer per task, no stage ring) and
-/// workers run fused dequant+MMA jobs. The "pipeline off" arm of the
-/// Figure 13 ablation. Blocks only on the injector queue's capacity.
-#[must_use]
-pub fn w4a8_flat_parallel(
+/// The one W4A8 driver: run `Yᵀ = W·Xᵀ` as tile jobs on the persistent
+/// pool and return the flat `N×M` buffer of whatever `sink` makes of
+/// each exact dot product (f32 epilogue for [`crate::LiquidGemm::gemm`],
+/// exact i64 for row-parallel sharding). `kind` decides only how tiles
+/// are staged:
+///
+/// * `Serial` — no pool: the strip loop over the whole matrix on the
+///   calling thread.
+/// * `FlatParallel` — the caller eagerly stages every tile into a
+///   fresh buffer, blocking only on the pool's queue capacity. The
+///   "pipeline off" arm of the Figure 13 ablation.
+/// * `ImFp` — the calling thread is the Load stage, streaming packed
+///   tiles into `cfg.stages` recycled buffers (the SMEM ring); workers
+///   run fused dequant+MMA jobs, so dequantization of one tile
+///   overlaps MMA of another with no cross-stage data movement. When
+///   every stage buffer is in flight the caller blocks on the free
+///   ring (backpressure; counted as a `load` stall).
+/// * `ExCp` — the same ring, but each tile is submitted as a Dequant
+///   job that materialises the whole INT8 tile and forwards an Mma job
+///   onto the executing worker's own deque (LIFO, so the tile is still
+///   hot; idle workers may steal it). Each tile crosses the queue
+///   twice and the INT8 intermediate makes the RF↔SMEM round trip —
+///   the overhead the paper measures against ImFP. Kept purely as the
+///   ablation.
+///
+/// `variant` labels the call's telemetry series.
+pub(crate) fn drive<S: Sink + 'static>(
     pool: &WorkerPool,
     x: &Mat<i8>,
-    act_scales: &[f32],
     w: &dyn PackedWeights,
     cfg: ParallelConfig,
-) -> Mat<f32> {
-    check_shapes(x, act_scales, w.k());
+    kind: KernelKind,
+    variant: &str,
+    sink: S,
+) -> Vec<S::Out> {
+    if kind == KernelKind::Serial {
+        return serial_tiles(pool.microkernels(), x, w, &sink);
+    }
+    check_shapes(x, sink.act_scales(), w);
     let backend = w.backend().label();
-    let _call = call_span("flat", backend);
-    let metrics = PipeMetrics::resolve("flat", backend).map(Arc::new);
+    let _call = call_span(variant, backend);
+    let metrics = PipeMetrics::resolve(variant, backend).map(Arc::new);
     let (m, n) = (x.rows(), w.n());
     let task_rows = cfg.task_rows.max(1);
     let tasks = n.div_ceil(task_rows);
-    let (ctx, reply_rx, epoch) = make_ctx(pool, x, act_scales, tasks, None, &metrics);
+    // The free ring (ImFP/ExCP): capacity covers every buffer that can
+    // exist at once, so recycling sends never block inside workers.
+    let (free_tx, free_rx) = (kind != KernelKind::FlatParallel)
+        .then(|| {
+            let stages = cfg.stages.max(1);
+            let (free_tx, free_rx) = bounded::<Vec<u32>>(stages + pool.workers() + 1);
+            for _ in 0..stages {
+                free_tx.send(Vec::new()).expect("prefill free ring");
+            }
+            (free_tx, free_rx)
+        })
+        .unzip();
+    let (reply_tx, reply_rx) = bounded(tasks.max(1));
+    let epoch = pool.next_epoch();
+    let ctx: Arc<dyn TileCall> = Arc::new(CallCtx {
+        // One pass over the block — the same cost the pre-tiling runtime
+        // paid to clone `x` into the call context.
+        a: APanels::pack(x),
+        sink,
+        reply: reply_tx,
+        recycle: free_tx.clone(),
+        epoch,
+        mk: pool.microkernels(),
+        metrics: metrics.clone(),
+    });
     for t in 0..tasks {
         let j0 = t * task_rows;
         let j1 = (j0 + task_rows).min(n);
-        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
-        let words = {
-            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
-            w.rows_words(j0, j1).to_vec()
+        let mut words = match &free_rx {
+            Some(free_rx) => {
+                let stall = metrics.as_ref().map(|mx| &mx.stall_load);
+                recv_counting(free_rx, stall).expect("free ring closed")
+            }
+            None => Vec::new(),
         };
+        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
+        {
+            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
+            words.clear();
+            words.extend_from_slice(w.rows_words(j0, j1));
+        }
         if let Some(t0) = load_t0 {
             lq_trace::span(
                 lq_trace::EventKind::StageLoad,
@@ -511,200 +344,17 @@ pub fn w4a8_flat_parallel(
                 t0,
             );
         }
-        pool.submit(Job::Compute {
-            ctx: Arc::clone(&ctx),
+        let tile = Staged {
             j0,
             rows: j1 - j0,
             words,
             quant: w.tile_dequant(j0, j1),
-        });
-        if let Some(mx) = &metrics {
-            mx.depth_task.set(pool.queue_len() as f64);
-        }
-    }
-    drop(ctx);
-    collect_tiles(&reply_rx, tasks, m, n, epoch)
-}
-
-/// Flat data-parallel *raw* W4A8 partial GEMM on the persistent pool:
-/// same tile decomposition as [`w4a8_flat_parallel`], but every tile
-/// job runs in raw mode and the call returns the flat `N×M` buffer of
-/// exact i64 pre-epilogue dot products. Row-parallel sharding sums
-/// these buffers across K-slice shards (an exact integer all-reduce)
-/// and applies the activation/channel epilogue once at the end —
-/// bit-identical to an unsharded call. `act_scales` are threaded only
-/// for shape checking; they are *not* applied here.
-#[must_use]
-pub(crate) fn w4a8_flat_raw(
-    pool: &WorkerPool,
-    x: &Mat<i8>,
-    w: &dyn PackedWeights,
-    cfg: ParallelConfig,
-) -> Vec<i64> {
-    assert_eq!(x.cols(), w.k(), "K mismatch");
-    let backend = w.backend().label();
-    let _call = call_span("flat_raw", backend);
-    let metrics = PipeMetrics::resolve("flat_raw", backend).map(Arc::new);
-    let (m, n) = (x.rows(), w.n());
-    let ones = vec![1.0f32; m];
-    let task_rows = cfg.task_rows.max(1);
-    let tasks = n.div_ceil(task_rows);
-    let (ctx, reply_rx, epoch) = make_ctx_mode(pool, x, &ones, tasks, None, &metrics, true);
-    for t in 0..tasks {
-        let j0 = t * task_rows;
-        let j1 = (j0 + task_rows).min(n);
-        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
-        let words = {
-            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
-            w.rows_words(j0, j1).to_vec()
         };
-        if let Some(t0) = load_t0 {
-            lq_trace::span(
-                lq_trace::EventKind::StageLoad,
-                lq_trace::Track::Control,
-                j0 as u64,
-                0,
-                t0,
-            );
-        }
-        pool.submit(Job::Compute {
-            ctx: Arc::clone(&ctx),
-            j0,
-            rows: j1 - j0,
-            words,
-            quant: w.tile_dequant(j0, j1),
-        });
-        if let Some(mx) = &metrics {
-            mx.depth_task.set(pool.queue_len() as f64);
-        }
-    }
-    drop(ctx);
-    collect_tiles_raw(&reply_rx, tasks, m, n, epoch)
-}
-
-/// The implicit fine-grained pipeline (ImFP) on the persistent pool:
-/// the calling thread is the Load stage, streaming packed weight tiles
-/// into `cfg.stages` recycled staging buffers (the SMEM ring); pool
-/// workers run fused dequant+MMA jobs — dequantization of one tile
-/// overlaps MMA of another with no cross-stage data movement. When all
-/// stage buffers are in flight the caller blocks on the free ring
-/// (backpressure; counted as a `load` stall).
-#[must_use]
-pub fn w4a8_imfp(
-    pool: &WorkerPool,
-    x: &Mat<i8>,
-    act_scales: &[f32],
-    w: &dyn PackedWeights,
-    cfg: ParallelConfig,
-) -> Mat<f32> {
-    check_shapes(x, act_scales, w.k());
-    let backend = w.backend().label();
-    let _call = call_span("imfp", backend);
-    let metrics = PipeMetrics::resolve("imfp", backend).map(Arc::new);
-    let (m, n) = (x.rows(), w.n());
-    let task_rows = cfg.task_rows.max(1);
-    let tasks = n.div_ceil(task_rows);
-    let stages = cfg.stages.max(1);
-    // The free ring: capacity covers every buffer that can exist at
-    // once, so recycling sends never block inside workers.
-    let (free_tx, free_rx) = bounded::<Vec<u32>>(stages + pool.workers() + 1);
-    for _ in 0..stages {
-        free_tx.send(Vec::new()).expect("prefill free ring");
-    }
-    let (ctx, reply_rx, epoch) =
-        make_ctx(pool, x, act_scales, tasks, Some(free_tx.clone()), &metrics);
-    for t in 0..tasks {
-        let j0 = t * task_rows;
-        let j1 = (j0 + task_rows).min(n);
-        let stall = metrics.as_ref().map(|mx| &mx.stall_load);
-        let mut buf = recv_counting(&free_rx, stall).expect("free ring closed");
-        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
-        {
-            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
-            buf.clear();
-            buf.extend_from_slice(w.rows_words(j0, j1));
-        }
-        if let Some(t0) = load_t0 {
-            lq_trace::span(
-                lq_trace::EventKind::StageLoad,
-                lq_trace::Track::Control,
-                j0 as u64,
-                0,
-                t0,
-            );
-        }
-        pool.submit(Job::Compute {
-            ctx: Arc::clone(&ctx),
-            j0,
-            rows: j1 - j0,
-            words: buf,
-            quant: w.tile_dequant(j0, j1),
-        });
-        if let Some(mx) = &metrics {
-            mx.depth_task.set(pool.queue_len() as f64);
-        }
-    }
-    drop(ctx);
-    drop(free_tx);
-    collect_tiles(&reply_rx, tasks, m, n, epoch)
-}
-
-/// The explicit coarse-grained pipeline (ExCP) on the persistent pool:
-/// Load (the caller, staging through the same bounded ring as ImFP) →
-/// Dequant jobs that materialise whole INT8 tiles → MMA jobs that
-/// re-read them. Each tile crosses the injector queue twice and the
-/// INT8 intermediate makes the RF↔SMEM round trip — the overhead the
-/// paper measures against ImFP. A Dequant job forwards its MMA job onto
-/// the executing worker's own deque (LIFO, so the tile is still hot);
-/// idle workers may steal it from the tail.
-#[must_use]
-pub fn w4a8_excp(
-    pool: &WorkerPool,
-    x: &Mat<i8>,
-    act_scales: &[f32],
-    w: &dyn PackedWeights,
-    cfg: ParallelConfig,
-) -> Mat<f32> {
-    check_shapes(x, act_scales, w.k());
-    let backend = w.backend().label();
-    let _call = call_span("excp", backend);
-    let metrics = PipeMetrics::resolve("excp", backend).map(Arc::new);
-    let (m, n) = (x.rows(), w.n());
-    let task_rows = cfg.task_rows.max(1);
-    let tasks = n.div_ceil(task_rows);
-    let stages = cfg.stages.max(1);
-    let (free_tx, free_rx) = bounded::<Vec<u32>>(stages + pool.workers() + 1);
-    for _ in 0..stages {
-        free_tx.send(Vec::new()).expect("prefill free ring");
-    }
-    let (ctx, reply_rx, epoch) =
-        make_ctx(pool, x, act_scales, tasks, Some(free_tx.clone()), &metrics);
-    for t in 0..tasks {
-        let j0 = t * task_rows;
-        let j1 = (j0 + task_rows).min(n);
-        let stall = metrics.as_ref().map(|mx| &mx.stall_load);
-        let mut buf = recv_counting(&free_rx, stall).expect("free ring closed");
-        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
-        {
-            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
-            buf.clear();
-            buf.extend_from_slice(w.rows_words(j0, j1));
-        }
-        if let Some(t0) = load_t0 {
-            lq_trace::span(
-                lq_trace::EventKind::StageLoad,
-                lq_trace::Track::Control,
-                j0 as u64,
-                0,
-                t0,
-            );
-        }
-        pool.submit(Job::Dequant {
-            ctx: Arc::clone(&ctx),
-            j0,
-            rows: j1 - j0,
-            words: buf,
-            quant: w.tile_dequant(j0, j1),
+        let ctx = Arc::clone(&ctx);
+        pool.submit(if kind == KernelKind::ExCp {
+            Job::Dequant { ctx, tile }
+        } else {
+            Job::Compute { ctx, tile }
         });
         if let Some(mx) = &metrics {
             mx.depth_task.set(pool.queue_len() as f64);
@@ -718,9 +368,11 @@ pub fn w4a8_excp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epilogue::{assemble_output, ExactSum, ScaleEpilogue};
+    use crate::microkernel::MicrokernelSet;
     use crate::packed::{PackedLqqLinear, PackedQoqLinear};
-    use crate::reference::max_abs_diff;
-    use crate::serial::{w4a8_lqq_serial, w4a8_qoq_serial};
+    use crate::reference::{gemm_i8_ref, max_abs_diff};
+    use crate::serial::{w4a8_serial, w4a8_serial_with};
     use lq_quant::act::QuantizedActivations;
 
     fn fixture(
@@ -744,13 +396,26 @@ mod tests {
             .expect("valid test config")
     }
 
+    /// The f32-sink driver call, assembled as `LiquidGemm::gemm` does.
+    fn run(
+        pool: &WorkerPool,
+        x: &Mat<i8>,
+        s: &[f32],
+        w: &dyn PackedWeights,
+        cfg: ParallelConfig,
+        kind: KernelKind,
+    ) -> Mat<f32> {
+        let y_t = drive(pool, x, w, cfg, kind, "test", ScaleEpilogue(s.to_vec()));
+        assemble_output(y_t, x.rows(), w.n())
+    }
+
     #[test]
     fn imfp_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(7, 33, 128);
-        let want = w4a8_lqq_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, &lqq);
         for workers in [1, 2, 4] {
             let pool = WorkerPool::new(workers, 16);
-            let got = w4a8_imfp(&pool, &x, &s, &lqq, cfg(5, 3));
+            let got = run(&pool, &x, &s, &lqq, cfg(5, 3), KernelKind::ImFp);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "workers={workers}");
         }
     }
@@ -758,58 +423,81 @@ mod tests {
     #[test]
     fn excp_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(6, 20, 192);
-        let want = w4a8_lqq_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, &lqq);
         let pool = WorkerPool::new(4, 16);
-        let got = w4a8_excp(&pool, &x, &s, &lqq, cfg(3, 2));
+        let got = run(&pool, &x, &s, &lqq, cfg(3, 2), KernelKind::ExCp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn flat_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(5, 17, 64);
-        let want = w4a8_lqq_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, &lqq);
         let pool = WorkerPool::new(3, 16);
-        let got = w4a8_flat_parallel(&pool, &x, &s, &lqq, cfg(4, 2));
+        let got = run(&pool, &x, &s, &lqq, cfg(4, 2), KernelKind::FlatParallel);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn qoq_variants_match_their_serial() {
         let (x, s, _, qoq) = fixture(4, 12, 128);
-        let want = w4a8_qoq_serial(&x, &s, &qoq);
+        let want = w4a8_serial(&x, &s, &qoq);
         let pool = WorkerPool::new(2, 16);
-        let c = cfg(4, 2);
-        for got in [
-            w4a8_imfp(&pool, &x, &s, &qoq, c),
-            w4a8_excp(&pool, &x, &s, &qoq, c),
-            w4a8_flat_parallel(&pool, &x, &s, &qoq, c),
-        ] {
-            assert_eq!(max_abs_diff(&got, &want), 0.0);
+        for kind in [KernelKind::ImFp, KernelKind::ExCp, KernelKind::FlatParallel] {
+            let got = run(&pool, &x, &s, &qoq, cfg(4, 2), kind);
+            assert_eq!(max_abs_diff(&got, &want), 0.0, "{kind:?}");
         }
     }
 
+    /// Every backend × pipeline kind × detected microkernel variant,
+    /// through both sinks of the one driver: the exact-sink tile is the
+    /// integer reference GEMM on the backend's own dequantized weights,
+    /// replaying the epilogue on it reproduces the f32-sink output bit
+    /// for bit, and that output equals the variant's serial kernel.
     #[test]
     fn every_backend_runs_every_pipeline_bit_exact_vs_its_serial() {
         use lq_quant::backend::registry;
-        let (x, s, _, _) = fixture(5, 22, 128);
-        let wf = Mat::from_fn(22, 128, |r, c| ((r * 128 + c) as f32 * 0.05).cos());
-        let pool = WorkerPool::new(3, 16);
+        let (m, n, k, group) = (5, 22, 128, 64);
+        let (x, s, _, _) = fixture(m, n, k);
+        let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.05).cos());
         let c = cfg(5, 2);
-        for backend in registry() {
-            let packed = backend.pack(&wf, 64);
-            let w = packed.as_ref();
-            let want = crate::serial::w4a8_serial(&x, &s, w);
-            for (name, got) in [
-                ("imfp", w4a8_imfp(&pool, &x, &s, w, c)),
-                ("excp", w4a8_excp(&pool, &x, &s, w, c)),
-                ("flat", w4a8_flat_parallel(&pool, &x, &s, w, c)),
-            ] {
-                assert_eq!(
-                    max_abs_diff(&got, &want),
-                    0.0,
-                    "backend {} variant {name}",
-                    backend.id()
-                );
+        for v in SimdVariant::detected() {
+            let mk = MicrokernelSet::for_variant(v).expect("detected implies available");
+            let pool = WorkerPool::with_faults(3, 16, PlacementPolicy::Unpinned, mk, None);
+            for backend in registry() {
+                let packed = backend.pack(&wf, group);
+                let w = packed.as_ref();
+                let want = w4a8_serial_with(mk, &x, &s, w);
+                let mut w_i8 = Mat::zeros(n, k);
+                for j in 0..n {
+                    for g in 0..k / group {
+                        w.dequant_row_group(j, g, &mut w_i8.row_mut(j)[g * group..(g + 1) * group]);
+                    }
+                }
+                let sums = gemm_i8_ref(&x, &w_i8);
+                let ch = w.channel_scales();
+                for kind in [
+                    KernelKind::Serial,
+                    KernelKind::ImFp,
+                    KernelKind::ExCp,
+                    KernelKind::FlatParallel,
+                ] {
+                    let at = format!("backend {} {kind:?} {}", backend.id(), v.label());
+                    let exact = drive(&pool, &x, w, c, kind, "test", ExactSum);
+                    let got = run(&pool, &x, &s, w, c, kind);
+                    assert_eq!(max_abs_diff(&got, &want), 0.0, "{at}");
+                    for i in 0..m {
+                        for j in 0..n {
+                            let sum = exact[j * m + i];
+                            assert_eq!(sum, i64::from(*sums.get(i, j)), "{at} sum[{i}][{j}]");
+                            assert_eq!(
+                                (sum as f32 * s[i] * ch[j]).to_bits(),
+                                got.get(i, j).to_bits(),
+                                "{at} epilogue replay [{i}][{j}]"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -817,41 +505,35 @@ mod tests {
     #[test]
     fn task_rows_not_dividing_n_is_handled() {
         let (x, s, lqq, _) = fixture(3, 10, 64);
-        let want = w4a8_lqq_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, &lqq);
         let pool = WorkerPool::new(2, 16);
-        let got = w4a8_imfp(&pool, &x, &s, &lqq, cfg(7, 2));
+        let got = run(&pool, &x, &s, &lqq, cfg(7, 2), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn more_workers_than_tasks_is_safe() {
         let (x, s, lqq, _) = fixture(2, 4, 64);
-        let want = w4a8_lqq_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, &lqq);
         let pool = WorkerPool::new(16, 32);
-        let got = w4a8_imfp(&pool, &x, &s, &lqq, cfg(4, 8));
+        let got = run(&pool, &x, &s, &lqq, cfg(4, 8), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn one_pool_serves_interleaved_variants() {
         let (x, s, lqq, qoq) = fixture(3, 19, 128);
-        let want_l = w4a8_lqq_serial(&x, &s, &lqq);
-        let want_q = w4a8_qoq_serial(&x, &s, &qoq);
+        let want_l = w4a8_serial(&x, &s, &lqq);
+        let want_q = w4a8_serial(&x, &s, &qoq);
         let pool = WorkerPool::new(3, 8);
         let c = cfg(4, 2);
         for _ in 0..8 {
-            assert_eq!(
-                max_abs_diff(&w4a8_imfp(&pool, &x, &s, &lqq, c), &want_l),
-                0.0
-            );
-            assert_eq!(
-                max_abs_diff(&w4a8_excp(&pool, &x, &s, &qoq, c), &want_q),
-                0.0
-            );
-            assert_eq!(
-                max_abs_diff(&w4a8_flat_parallel(&pool, &x, &s, &lqq, c), &want_l),
-                0.0
-            );
+            let got = run(&pool, &x, &s, &lqq, c, KernelKind::ImFp);
+            assert_eq!(max_abs_diff(&got, &want_l), 0.0);
+            let got = run(&pool, &x, &s, &qoq, c, KernelKind::ExCp);
+            assert_eq!(max_abs_diff(&got, &want_q), 0.0);
+            let got = run(&pool, &x, &s, &lqq, c, KernelKind::FlatParallel);
+            assert_eq!(max_abs_diff(&got, &want_l), 0.0);
         }
     }
 

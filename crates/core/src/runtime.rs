@@ -65,8 +65,8 @@
 //! propagating to the caller the pool heals itself:
 //!
 //! 1. The job's owned fields survive the unwind (the caught closure
-//!    only *borrows* them), so the worker reconstructs the job and
-//!    requeues it on the global injector for another worker —
+//!    only *borrows* the job), so the worker requeues it on the global
+//!    injector for another worker —
 //!    non-blocking, with a small attempts-proportional backoff, up to
 //!    [`MAX_JOB_RETRIES`] times. Integer accumulation keeps the
 //!    retried result bit-exact with the serial kernels.
@@ -96,35 +96,35 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lq_chaos::{FaultAction, FaultInjector};
-use lq_quant::act::QuantizedActivations;
 use lq_quant::backend::{BackendId, TileDequant};
 use lq_quant::mat::Mat;
 use lq_telemetry::Gauge;
 
 use crate::affinity::{self, PlacementPolicy};
 use crate::api::{GemmOutput, KernelKind, W4A8Weights};
+use crate::epilogue::{assemble_output, ScaleEpilogue, Sink};
 use crate::microkernel::{APanels, MicrokernelSet};
-use crate::pipeline::{
-    compute_rows_staged, compute_rows_staged_raw, mma_rows, w4a8_excp, w4a8_flat_parallel,
-    w4a8_imfp, ConfigError, ParallelConfig,
-};
-use crate::serial::w4a8_serial_with;
+use crate::pipeline::{drive, ConfigError, ParallelConfig};
+use crate::serial::{dense_kernel, strip_kernel};
 use crate::simd::SimdVariant;
 use crate::sync::{bounded, Sender};
 use crate::telemetry::{pool_fault_metrics, PipeMetrics, WorkerMetrics};
 
 /// Per-call shared state a tile job needs beyond its own tile: the
-/// packed activations, the reply channel, and (for the staged
-/// variants) the free-ring sender that recycles word buffers.
-pub(crate) struct CallCtx {
+/// packed activations, the output sink, the reply channel, and (for the
+/// staged variants) the free-ring sender that recycles word buffers.
+/// Generic over the call's [`Sink`]; jobs hold it as an
+/// `Arc<dyn `[`TileCall`]`>`.
+pub(crate) struct CallCtx<S: Sink> {
     /// INT8 activations packed into register-tile panels — built once
     /// per call so jobs are `'static` (the same single pass over the
     /// block that cloning the matrix used to cost).
     pub(crate) a: APanels,
-    /// Per-token activation scales.
-    pub(crate) act_scales: Vec<f32>,
+    /// What becomes of each exact dot product (f32 epilogue with the
+    /// call's activation scales, or exact i64).
+    pub(crate) sink: S,
     /// Where finished tiles go.
-    pub(crate) reply: Sender<Reply>,
+    pub(crate) reply: Sender<Reply<S::Out>>,
     /// Stage-ring recycling for `words` buffers (ImFP/ExCP).
     pub(crate) recycle: Option<Sender<Vec<u32>>>,
     /// Epoch stamped on every reply of this call.
@@ -135,74 +135,216 @@ pub(crate) struct CallCtx {
     pub(crate) mk: MicrokernelSet,
     /// Per-variant pipeline metrics (None when telemetry is off).
     pub(crate) metrics: Option<Arc<PipeMetrics>>,
-    /// Raw mode: Compute jobs skip the epilogue and reply with exact
-    /// i64 partial sums ([`Reply::RawDone`]) — the row-parallel shards'
-    /// all-reduce operands. Never set for Dequant/Mma (ExCP) calls.
-    pub(crate) raw: bool,
 }
 
 /// A finished (or failed) tile travelling back to the calling thread.
-pub(crate) enum Reply {
-    /// Rows `[j0, j0 + out.len()/m)` of `Yᵀ`, flat `rows×m`.
-    Done {
-        j0: usize,
-        out: Vec<f32>,
-        epoch: u64,
-    },
-    /// Raw-mode twin of `Done`: the same tile as exact pre-epilogue
-    /// i64 dot products (the all-reduce operand for row-parallel
-    /// sharding — f32 replies would be lossy above 2^24).
-    RawDone {
-        j0: usize,
-        out: Vec<i64>,
-        epoch: u64,
-    },
+pub(crate) enum Reply<T> {
+    /// Rows `[j0, j0 + out.len()/m)` of `Yᵀ`, flat `rows×m`, in the
+    /// call's sink output type.
+    Done { j0: usize, out: Vec<T>, epoch: u64 },
     /// The job panicked; the caller re-panics.
     Panicked,
+}
+
+/// One staged weight tile: output channels `[j0, j0 + rows)`, their
+/// packed words (the copy the Load stage made), and the owned dequant
+/// recipe.
+pub(crate) struct Staged {
+    pub(crate) j0: usize,
+    pub(crate) rows: usize,
+    pub(crate) words: Vec<u32>,
+    pub(crate) quant: Box<dyn TileDequant>,
+}
+
+/// The trace identity of one job attempt's stage span: stage spans
+/// carry the submitting request's correlation ID, not the worker's.
+pub(crate) struct StageSpan {
+    t0: Option<std::time::Instant>,
+    worker: u32,
+    corr: u64,
+}
+
+impl StageSpan {
+    fn record(&self, kind: lq_trace::EventKind, j0: usize, rows: usize) {
+        if let Some(t0) = self.t0 {
+            lq_trace::span_full(
+                kind,
+                lq_trace::Track::Worker(self.worker),
+                self.corr,
+                j0 as u64,
+                rows as u64,
+                t0,
+                0,
+            );
+        }
+    }
+}
+
+/// A call as its tile jobs see it, with the sink's output type erased:
+/// one virtual call per job stage, none per element.
+pub(crate) trait TileCall: Send + Sync {
+    /// Fused dequant+MMA over a staged tile (Flat and ImFP): compute,
+    /// recycle the stage buffer, reply.
+    fn compute(&self, tile: &mut Staged, span: &StageSpan);
+    /// ExCP stage 2: materialise the INT8 tile (returned with `k` and
+    /// its channel scales) and recycle the stage buffer.
+    fn dequant(&self, tile: &mut Staged, span: &StageSpan) -> (Vec<i8>, usize, Vec<f32>);
+    /// ExCP stage 3: dot products from a materialised INT8 tile; reply.
+    fn mma(&self, j0: usize, k: usize, tile: &[i8], channel_scales: &[f32], span: &StageSpan);
+    /// Report a job that exhausted its retry budget, so the caller
+    /// un-blocks (and re-panics — see `collect_tiles`).
+    fn abandon(&self);
+}
+
+impl<S: Sink> CallCtx<S> {
+    /// Common tail of successful Compute/Mma jobs: count the task,
+    /// recycle the stage buffer, reply. Send failures mean the caller
+    /// is gone (it panicked or was dropped) and are deliberately
+    /// ignored.
+    fn finish(&self, j0: usize, out: Vec<S::Out>, words: Option<Vec<u32>>) {
+        if let Some(mx) = &self.metrics {
+            mx.tasks.inc();
+        }
+        if let (Some(rec), Some(buf)) = (&self.recycle, words) {
+            let _ = rec.send(buf);
+        }
+        let _ = self.reply.send(Reply::Done {
+            j0,
+            out,
+            epoch: self.epoch,
+        });
+    }
+}
+
+impl<S: Sink> TileCall for CallCtx<S> {
+    fn compute(&self, tile: &mut Staged, span: &StageSpan) {
+        let m = self.a.m();
+        let mut out = vec![S::Out::default(); tile.rows * m];
+        {
+            let _span = self
+                .metrics
+                .as_ref()
+                .map(|mx| mx.task_ns_compute.span_owned());
+            let (q, words) = (tile.quant.as_ref(), tile.words.as_slice());
+            let ch = q.channel_scales();
+            strip_kernel(
+                self.mk,
+                &self.a,
+                words,
+                (tile.rows, q.k(), q.group()),
+                |j, g, dst| q.dequant_group(words, j, g, dst),
+                |j, i, s| out[j * m + i] = self.sink.emit(i, ch[j], s),
+            );
+        }
+        span.record(lq_trace::EventKind::StageCompute, tile.j0, tile.rows);
+        self.finish(tile.j0, out, Some(std::mem::take(&mut tile.words)));
+    }
+
+    fn dequant(&self, tile: &mut Staged, span: &StageSpan) -> (Vec<i8>, usize, Vec<f32>) {
+        let materialised = {
+            let _span = self
+                .metrics
+                .as_ref()
+                .and_then(|mx| mx.task_ns_dequant.as_ref().map(|h| h.span_owned()));
+            tile.quant.materialize(&tile.words, tile.rows)
+        };
+        span.record(lq_trace::EventKind::StageDequant, tile.j0, tile.rows);
+        if let Some(rec) = &self.recycle {
+            let _ = rec.send(std::mem::take(&mut tile.words));
+        }
+        materialised
+    }
+
+    fn mma(&self, j0: usize, k: usize, tile: &[i8], channel_scales: &[f32], span: &StageSpan) {
+        let (m, rows) = (self.a.m(), channel_scales.len());
+        let mut out = vec![S::Out::default(); rows * m];
+        {
+            let _span = self
+                .metrics
+                .as_ref()
+                .and_then(|mx| mx.task_ns_mma.as_ref().map(|h| h.span_owned()));
+            dense_kernel(self.mk, &self.a, tile, (rows, k), |j, i, s| {
+                out[j * m + i] = self.sink.emit(i, channel_scales[j], s);
+            });
+        }
+        span.record(lq_trace::EventKind::StageMma, j0, rows);
+        self.finish(j0, out, None);
+    }
+
+    fn abandon(&self) {
+        let _ = self.reply.send(Reply::Panicked);
+    }
 }
 
 /// One unit of work on a worker deque.
 pub(crate) enum Job {
     /// Fused dequant+MMA over a staged tile (Flat and ImFP variants).
     Compute {
-        ctx: Arc<CallCtx>,
-        j0: usize,
-        rows: usize,
-        words: Vec<u32>,
-        quant: Box<dyn TileDequant>,
+        ctx: Arc<dyn TileCall>,
+        tile: Staged,
     },
     /// ExCP stage 2: materialise the INT8 tile, then forward an [`Job::Mma`].
     Dequant {
-        ctx: Arc<CallCtx>,
-        j0: usize,
-        rows: usize,
-        words: Vec<u32>,
-        quant: Box<dyn TileDequant>,
+        ctx: Arc<dyn TileCall>,
+        tile: Staged,
     },
     /// ExCP stage 3: dot products from a materialised INT8 tile.
     Mma {
-        ctx: Arc<CallCtx>,
+        ctx: Arc<dyn TileCall>,
         j0: usize,
         k: usize,
         tile: Vec<i8>,
         channel_scales: Vec<f32>,
     },
     /// Test-only: panic inside the worker (exercises containment).
-    Panic { reply: Sender<Reply> },
+    Panic { reply: Sender<Reply<f32>> },
 }
 
 impl Job {
-    /// Last resort when the retry budget is exhausted: report the
-    /// failure on the job's reply channel so the caller un-blocks
-    /// (and re-panics — see `collect_tiles`).
-    fn abandon(self) {
-        let reply = match self {
-            Job::Compute { ctx, .. } | Job::Dequant { ctx, .. } | Job::Mma { ctx, .. } => {
-                ctx.reply.clone()
+    /// Run one attempt, borrowing the job so its owned fields survive
+    /// an unwind. Returns the job this one forwards onto the executing
+    /// worker's deque (the ExCP Dequant→MMA hop), if any.
+    fn run(&mut self, span: &StageSpan) -> Option<Job> {
+        match self {
+            Job::Compute { ctx, tile } => {
+                ctx.compute(tile, span);
+                None
             }
-            Job::Panic { reply } => reply,
-        };
-        let _ = reply.send(Reply::Panicked);
+            Job::Dequant { ctx, tile } => {
+                let (int8, k, channel_scales) = ctx.dequant(tile, span);
+                Some(Job::Mma {
+                    ctx: Arc::clone(ctx),
+                    j0: tile.j0,
+                    k,
+                    tile: int8,
+                    channel_scales,
+                })
+            }
+            Job::Mma {
+                ctx,
+                j0,
+                k,
+                tile,
+                channel_scales,
+            } => {
+                ctx.mma(*j0, *k, tile, channel_scales, span);
+                None
+            }
+            Job::Panic { .. } => panic!("injected worker panic"),
+        }
+    }
+
+    /// Last resort when the retry budget is exhausted: report the
+    /// failure on the job's reply channel.
+    fn abandon(self) {
+        match self {
+            Job::Compute { ctx, .. } | Job::Dequant { ctx, .. } | Job::Mma { ctx, .. } => {
+                ctx.abandon();
+            }
+            Job::Panic { reply } => {
+                let _ = reply.send(Reply::Panicked);
+            }
+        }
     }
 }
 
@@ -886,9 +1028,9 @@ fn heal(
 
 /// What became of one job attempt. On `Panicked` the job's owned
 /// fields survived the unwind (the caught closure only borrowed them),
-/// so the reconstructed job can be retried on another worker;
-/// `Panicked(None)` means the job has nothing to retry (the
-/// test-injected [`Job::Panic`] probe, which already replied).
+/// so the job can be retried on another worker; `Panicked(None)` means
+/// there is nothing to retry (the test-injected [`Job::Panic`] probe,
+/// which already replied).
 enum JobOutcome {
     Done,
     Panicked(Option<Job>),
@@ -897,199 +1039,38 @@ enum JobOutcome {
 /// Run one job attempt, containing panics. `force_panic` is the fault
 /// injector's verdict for this attempt — raised *inside* the caught
 /// closure so the injected fault takes the exact path a real mid-job
-/// panic would. `corr` is the job's causal correlation ID (stage spans
-/// must carry the submitting request's scope, not the worker's).
-fn execute(job: Job, shared: &Shared, id: usize, corr: u64, force_panic: bool) -> JobOutcome {
-    let stage_t0 = lq_trace::enabled().then(std::time::Instant::now);
-    let stage_span = |kind: lq_trace::EventKind, j0: usize, rows: usize| {
-        if let Some(t0) = stage_t0 {
-            lq_trace::span_full(
-                kind,
-                lq_trace::Track::Worker(id as u32),
-                corr,
-                j0 as u64,
-                rows as u64,
-                t0,
-                0,
-            );
-        }
+/// panic would. `corr` is the job's causal correlation ID.
+fn execute(mut job: Job, shared: &Shared, id: usize, corr: u64, force_panic: bool) -> JobOutcome {
+    let span = StageSpan {
+        t0: lq_trace::enabled().then(std::time::Instant::now),
+        worker: id as u32,
+        corr,
     };
-    match job {
-        Job::Compute {
-            ctx,
-            j0,
-            rows,
-            words,
-            quant,
-        } => {
-            // Raw-mode calls reply with exact i64 partials, scaled
-            // calls with f32 tiles; both run the same staged loop.
-            enum TileBuf {
-                Scaled(Vec<f32>),
-                Raw(Vec<i64>),
-            }
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                if force_panic {
-                    panic!("injected fault: worker panic mid-Compute");
-                }
-                let _span = ctx
-                    .metrics
-                    .as_ref()
-                    .map(|mx| mx.task_ns_compute.span_owned());
-                let m = ctx.a.m();
-                if ctx.raw {
-                    let mut out = vec![0i64; rows * m];
-                    compute_rows_staged_raw(ctx.mk, quant.as_ref(), &words, rows, &ctx.a, &mut out);
-                    TileBuf::Raw(out)
-                } else {
-                    let mut out = vec![0.0f32; rows * m];
-                    compute_rows_staged(
-                        ctx.mk,
-                        quant.as_ref(),
-                        &words,
-                        rows,
-                        &ctx.a,
-                        &ctx.act_scales,
-                        &mut out,
-                    );
-                    TileBuf::Scaled(out)
-                }
-            }));
-            match res {
-                Ok(buf) => {
-                    stage_span(lq_trace::EventKind::StageCompute, j0, rows);
-                    let epoch = ctx.epoch;
-                    let reply = match buf {
-                        TileBuf::Scaled(out) => Reply::Done { j0, out, epoch },
-                        TileBuf::Raw(out) => Reply::RawDone { j0, out, epoch },
-                    };
-                    finish_tile(&ctx, reply, Some(words));
-                    JobOutcome::Done
-                }
-                Err(_) => JobOutcome::Panicked(Some(Job::Compute {
-                    ctx,
-                    j0,
-                    rows,
-                    words,
-                    quant,
-                })),
-            }
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        if force_panic {
+            panic!("injected fault: worker panic mid-job");
         }
-        Job::Dequant {
-            ctx,
-            j0,
-            rows,
-            words,
-            quant,
-        } => {
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                if force_panic {
-                    panic!("injected fault: worker panic mid-Dequant");
-                }
-                let _span = ctx
-                    .metrics
-                    .as_ref()
-                    .and_then(|mx| mx.task_ns_dequant.as_ref().map(|h| h.span_owned()));
-                quant.materialize(&words, rows)
-            }));
-            match res {
-                Ok((tile, k, channel_scales)) => {
-                    stage_span(lq_trace::EventKind::StageDequant, j0, rows);
-                    if let Some(rec) = &ctx.recycle {
-                        let _ = rec.send(words);
-                    }
-                    // Forward the second hop onto our own deque: popped
-                    // next (LIFO) while the materialised tile is still
-                    // cache-hot, or stolen by an idle worker.
-                    shared.push_local(
-                        id,
-                        Job::Mma {
-                            ctx,
-                            j0,
-                            k,
-                            tile,
-                            channel_scales,
-                        },
-                        corr,
-                    );
-                    JobOutcome::Done
-                }
-                Err(_) => JobOutcome::Panicked(Some(Job::Dequant {
-                    ctx,
-                    j0,
-                    rows,
-                    words,
-                    quant,
-                })),
+        job.run(&span)
+    }));
+    match (res, job) {
+        (Ok(forward), _) => {
+            if let Some(next) = forward {
+                // Onto our own deque: popped next (LIFO) while the
+                // materialised tile is still cache-hot, or stolen by
+                // an idle worker.
+                shared.push_local(id, next, corr);
             }
+            JobOutcome::Done
         }
-        Job::Mma {
-            ctx,
-            j0,
-            k,
-            tile,
-            channel_scales,
-        } => {
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                if force_panic {
-                    panic!("injected fault: worker panic mid-Mma");
-                }
-                let _span = ctx
-                    .metrics
-                    .as_ref()
-                    .and_then(|mx| mx.task_ns_mma.as_ref().map(|h| h.span_owned()));
-                let m = ctx.a.m();
-                let mut out = vec![0.0f32; channel_scales.len() * m];
-                mma_rows(
-                    ctx.mk,
-                    &tile,
-                    k,
-                    &channel_scales,
-                    &ctx.a,
-                    &ctx.act_scales,
-                    &mut out,
-                );
-                out
-            }));
-            match res {
-                Ok(out) => {
-                    stage_span(lq_trace::EventKind::StageMma, j0, channel_scales.len());
-                    let epoch = ctx.epoch;
-                    finish_tile(&ctx, Reply::Done { j0, out, epoch }, None);
-                    JobOutcome::Done
-                }
-                Err(_) => JobOutcome::Panicked(Some(Job::Mma {
-                    ctx,
-                    j0,
-                    k,
-                    tile,
-                    channel_scales,
-                })),
-            }
-        }
-        Job::Panic { reply } => {
-            let res = catch_unwind(|| panic!("injected worker panic"));
-            debug_assert!(res.is_err());
-            let _ = reply.send(Reply::Panicked);
-            // The probe quarantines its worker like any real panic, so
-            // tests exercising it also exercise respawn — but there is
-            // no job to retry.
+        // The probe quarantines its worker like any real panic, so
+        // tests exercising it also exercise respawn — but there is no
+        // job to retry.
+        (Err(_), probe @ Job::Panic { .. }) => {
+            probe.abandon();
             JobOutcome::Panicked(None)
         }
+        (Err(_), job) => JobOutcome::Panicked(Some(job)),
     }
-}
-
-/// Common tail of successful Compute/Mma jobs: count the task, recycle
-/// the stage buffer, reply. Reply-send failures mean the caller is
-/// gone (it panicked or was dropped) and are deliberately ignored.
-fn finish_tile(ctx: &Arc<CallCtx>, reply: Reply, words: Option<Vec<u32>>) {
-    if let Some(mx) = &ctx.metrics {
-        mx.tasks.inc();
-    }
-    if let (Some(rec), Some(buf)) = (&ctx.recycle, words) {
-        let _ = rec.send(buf);
-    }
-    let _ = ctx.reply.send(reply);
 }
 
 /// Long-lived handle over the persistent worker pool — the redesigned
@@ -1189,45 +1170,17 @@ impl LiquidGemm {
         kind: KernelKind,
         cfg: ParallelConfig,
     ) -> GemmOutput {
-        let w = weights.as_dyn();
-        let y = match kind {
-            KernelKind::Serial => w4a8_serial_with(self.pool.microkernels(), x, act_scales, w),
-            KernelKind::FlatParallel => w4a8_flat_parallel(&self.pool, x, act_scales, w, cfg),
-            KernelKind::ExCp => w4a8_excp(&self.pool, x, act_scales, w, cfg),
-            KernelKind::ImFp => w4a8_imfp(&self.pool, x, act_scales, w, cfg),
+        let variant = match kind {
+            KernelKind::Serial => "serial",
+            KernelKind::FlatParallel => "flat",
+            KernelKind::ExCp => "excp",
+            KernelKind::ImFp => "imfp",
         };
-        GemmOutput { y }
-    }
-
-    /// W4A8 GEMM taking FP32 activations: per-token INT8 quantization is
-    /// fused in front of the kernel. `smooth` (length K), if given,
-    /// divides the activations channel-wise first (the SmoothQuant
-    /// inverse scale — the weights must have been quantized with the
-    /// matching forward scale).
-    #[must_use]
-    pub fn gemm_f32(
-        &self,
-        x: &Mat<f32>,
-        weights: &W4A8Weights,
-        smooth: Option<&[f32]>,
-        kind: KernelKind,
-    ) -> GemmOutput {
-        self.gemm_f32_with(x, weights, smooth, kind, self.defaults)
-    }
-
-    /// [`LiquidGemm::gemm_f32`] with explicit tiling parameters.
-    #[must_use]
-    pub fn gemm_f32_with(
-        &self,
-        x: &Mat<f32>,
-        weights: &W4A8Weights,
-        smooth: Option<&[f32]>,
-        kind: KernelKind,
-        cfg: ParallelConfig,
-    ) -> GemmOutput {
-        assert_eq!(x.cols(), weights.k(), "K mismatch");
-        let qa = QuantizedActivations::quantize(x, smooth);
-        self.gemm_with(&qa.q, &qa.scales, weights, kind, cfg)
+        let sink = ScaleEpilogue(act_scales.to_vec());
+        let y_t = drive(&self.pool, x, weights.as_dyn(), cfg, kind, variant, sink);
+        GemmOutput {
+            y: assemble_output(y_t, x.rows(), weights.n()),
+        }
     }
 
     /// Test probe: make one worker panic inside a job and wait for the
@@ -1387,8 +1340,11 @@ mod tests {
         let xf = Mat::from_fn(m, k, |r, c| ((r * k + c) as f32 * 0.13).sin() * 1.5);
         let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.04).cos());
         let qa = QuantizedActivations::quantize(&xf, None);
-        let w = W4A8Weights::lqq(crate::packed::PackedLqqLinear::quantize(&wf, 64));
-        (qa.q, qa.scales, w)
+        (
+            qa.q,
+            qa.scales,
+            W4A8Weights::quantize(&wf, 64, BackendId::Lqq),
+        )
     }
 
     #[test]
@@ -1457,6 +1413,20 @@ mod tests {
             // On Linux every worker must report its pinned CPU from
             // the allowed set; the portable fallback reports None.
             let allowed = crate::affinity::allowed_cpus();
+            // Workers pin themselves on entry to their loop, which is
+            // asynchronous to `build()`: a worker that got no tile of
+            // the call above may not have started yet.
+            for _ in 0..200 {
+                if lg
+                    .pool()
+                    .worker_stats()
+                    .iter()
+                    .all(|st| st.pinned_cpu.is_some())
+                {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
             for (id, st) in lg.pool().worker_stats().iter().enumerate() {
                 if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
                     let cpu = st

@@ -1,12 +1,17 @@
-//! Single-threaded GEMM kernels for every precision under study.
+//! Single-threaded GEMM kernels for every precision under study, and
+//! the one fused dequant→MMA strip loop every W4A8 path runs.
 //!
 //! These are the ablation's "no pipeline" variants and the correctness
-//! anchors for the parallel kernels. All share the same loop structure —
-//! per output channel, per K-group: (dequantize if needed) then a
-//! batched dot against all tokens — so the *only* difference between
-//! `w4a8_lqq_serial` and `w4a8_qoq_serial` is the dequantization
-//! microkernel, making the LQQ-vs-QoQ benchmark a pure algorithm
-//! comparison, exactly like the paper's Figure 13 "+LQQ" ablation.
+//! anchors for the parallel kernels. `strip_kernel` is the paper's
+//! §5.3 main loop — per strip of output channels, per K block:
+//! dequantize, then the register-tile MMA against all tokens — and it
+//! exists once: [`w4a8_serial`] runs it over the whole matrix on the
+//! calling thread, a pool Compute job ([`crate::runtime`]) runs it over
+//! one staged tile. The *only* difference between two backends is the
+//! dequantization they plug in, making the LQQ-vs-QoQ benchmark a pure
+//! algorithm comparison, exactly like the paper's Figure 13 "+LQQ"
+//! ablation; the only difference between the f32 and the exact-integer
+//! result is the `Sink` the sums are handed to.
 //!
 //! Integer kernels are bit-exact against `reference::gemm_i8_ref` on the
 //! dequantized weights; float kernels match to rounding tolerance.
@@ -15,36 +20,136 @@ use lq_quant::backend::PackedWeights;
 use lq_quant::fp8::decode_lut;
 use lq_quant::mat::Mat;
 
+use crate::epilogue::{assemble_output, ScaleEpilogue, Sink};
 use crate::microkernel::{dequant_group_lqq, dot_f32, APanels, MicrokernelSet};
-use crate::packed::{
-    Fp16Linear, Fp8Linear, PackedLqqLinear, PackedQoqLinear, W4A16Linear, W8A8Linear,
-};
+use crate::packed::{Fp16Linear, Fp8Linear, W4A16Linear, W8A8Linear};
 use crate::simd;
 
 /// Largest group size the stack-allocated dequant buffer supports
 /// (defined next to the backend traits; re-exported for kernel users).
 pub use lq_quant::backend::MAX_GROUP;
 
-/// Scatter a strip accumulator into output columns `jb..jb+nr` with
-/// the epilogue scales applied.
-#[inline]
-pub(crate) fn write_strip(
+/// The shape contract of every W4A8 entry point — serial, pool and
+/// row-parallel alike. `act_scales` is `None` for calls whose sink
+/// applies no activation scale.
+pub(crate) fn check_shapes(x: &Mat<i8>, act_scales: Option<&[f32]>, w: &dyn PackedWeights) {
+    assert_eq!(x.cols(), w.k(), "K mismatch");
+    if let Some(s) = act_scales {
+        assert_eq!(s.len(), x.rows(), "one scale per token");
+    }
+    assert!(w.group() <= MAX_GROUP, "group size exceeds MAX_GROUP");
+}
+
+/// The fused dequant→MMA strip loop — the body of the serial kernel
+/// and of every pool Compute job (Flat and ImFP). Channels `[0, rows)`
+/// are walked a `strip_width()`-row strip at a time; each K block
+/// ([`MicrokernelSet::kc_block`] — one group for the scalar family, an
+/// L1-sized run of groups for the SIMD ones) is dequantized for the
+/// whole strip by `dequant(row, group, dst)` into a staging buffer that
+/// the register-tile microkernel consumes at once, and every finished
+/// `(row, token)` dot product goes to `emit` as an exact integer.
+/// `words` are the packed words of the `rows` rows; they are only
+/// software-prefetched here, one K block ahead of the dequant walk.
+pub(crate) fn strip_kernel(
     mk: MicrokernelSet,
-    out: &mut Mat<f32>,
-    jb: usize,
-    nr: usize,
     a: &APanels,
-    acc: &[i32],
-    scales: (&[f32], &[f32]),
+    words: &[u32],
+    (rows, k, group): (usize, usize, usize),
+    dequant: impl Fn(usize, usize, &mut [i8]),
+    mut emit: impl FnMut(usize, usize, i64),
 ) {
-    let (act_scales, ch) = scales;
-    let mut col = vec![0.0f32; a.m()];
-    for r in 0..nr {
-        mk.scatter(a, acc, r, act_scales, ch[jb + r], &mut col);
-        for (i, &v) in col.iter().enumerate() {
-            out.set(i, jb + r, v);
+    mk.record_dispatch(a.m());
+    let strip = mk.strip_width();
+    let kcb = mk.kc_block(group, k);
+    let mut wbuf = vec![0i8; strip * kcb];
+    let mut acc = vec![0i32; mk.acc_len(a)];
+    let wpr = words.len() / rows.max(1);
+    for jb in (0..rows).step_by(strip) {
+        let nr = strip.min(rows - jb);
+        acc.fill(0);
+        let mut k0 = 0usize;
+        while k0 < k {
+            let kc = kcb.min(k - k0);
+            if nr < strip {
+                // Unused strip rows stay zero at the current row
+                // stride: their chains are never read back.
+                wbuf.fill(0);
+            }
+            // Hint the next K block's packed words while this block
+            // dequantizes and reduces.
+            for r in 0..nr {
+                simd::prefetch_read(words, (jb + r) * wpr + wpr * (k0 + kc) / k.max(1));
+            }
+            let g0 = k0 / group;
+            for r in 0..nr {
+                let dst = &mut wbuf[r * kc..(r + 1) * kc];
+                for (gg, chunk) in dst.chunks_mut(group).enumerate() {
+                    dequant(jb + r, g0 + gg, chunk);
+                }
+            }
+            mk.accumulate(a, k0, kc, &wbuf[..strip * kc], &mut acc);
+            k0 += kc;
+        }
+        for r in 0..nr {
+            mk.reduce(a, &acc, r, |tok, s| emit(jb + r, tok, s));
         }
     }
+}
+
+/// The strip loop over weights that are already INT8 (row-major
+/// `rows×k`): W8A8, and the ExCP Mma stage's materialised tile. Full
+/// strips feed the microkernel in place.
+pub(crate) fn dense_kernel(
+    mk: MicrokernelSet,
+    a: &APanels,
+    tile: &[i8],
+    (rows, k): (usize, usize),
+    mut emit: impl FnMut(usize, usize, i64),
+) {
+    mk.record_dispatch(a.m());
+    let strip = mk.strip_width();
+    let mut acc = vec![0i32; mk.acc_len(a)];
+    let mut pad = vec![0i8; strip * k];
+    for jb in (0..rows).step_by(strip) {
+        let nr = strip.min(rows - jb);
+        acc.fill(0);
+        if nr == strip {
+            mk.accumulate(a, 0, k, &tile[jb * k..(jb + strip) * k], &mut acc);
+        } else {
+            pad[..nr * k].copy_from_slice(&tile[jb * k..(jb + nr) * k]);
+            pad[nr * k..].fill(0);
+            mk.accumulate(a, 0, k, &pad, &mut acc);
+        }
+        for r in 0..nr {
+            mk.reduce(a, &acc, r, |tok, s| emit(jb + r, tok, s));
+        }
+    }
+}
+
+/// The serial kernel for any output sink: the whole weight matrix as
+/// one strip-loop run on the calling thread (the ImFP data path, minus
+/// the parallelism), dequantizing straight from the packed weights.
+/// Returns the flat `N×M` tile, as the pool drivers do.
+pub(crate) fn serial_tiles<S: Sink>(
+    mk: MicrokernelSet,
+    x: &Mat<i8>,
+    w: &dyn PackedWeights,
+    sink: &S,
+) -> Vec<S::Out> {
+    check_shapes(x, sink.act_scales(), w);
+    let (m, n) = (x.rows(), w.n());
+    let a = APanels::pack(x);
+    let ch = w.channel_scales();
+    let mut out = vec![S::Out::default(); n * m];
+    strip_kernel(
+        mk,
+        &a,
+        w.rows_words(0, n),
+        (n, w.k(), w.group()),
+        |j, g, dst| w.dequant_row_group(j, g, dst),
+        |j, i, s| out[j * m + i] = sink.emit(i, ch[j], s),
+    );
+    out
 }
 
 /// W4A8 serial kernel over any registered backend with the process-wide
@@ -59,13 +164,8 @@ pub fn w4a8_serial(x: &Mat<i8>, act_scales: &[f32], w: &dyn PackedWeights) -> Ma
 }
 
 /// W4A8 serial kernel over any registered backend and an explicit
-/// microkernel family: per `strip_width()`-channel strip, per K block
-/// ([`MicrokernelSet::kc_block`] — one group for the scalar family, an
-/// L1-sized run of groups for the SIMD ones), the backend's
-/// dequantization fills a staging buffer that is immediately consumed
-/// by the register-tile microkernel (the ImFP data path, minus the
-/// parallelism). The packed source words for each strip are
-/// software-prefetched one K block ahead of the dequant walk.
+/// microkernel family (the strip loop with the f32 epilogue as its
+/// sink).
 #[must_use]
 pub fn w4a8_serial_with(
     mk: MicrokernelSet,
@@ -73,103 +173,26 @@ pub fn w4a8_serial_with(
     act_scales: &[f32],
     w: &dyn PackedWeights,
 ) -> Mat<f32> {
-    let (n, k, group) = (w.n(), w.k(), w.group());
-    assert_eq!(x.cols(), k, "K mismatch");
-    assert_eq!(act_scales.len(), x.rows(), "one scale per token");
-    assert!(group <= MAX_GROUP, "group size exceeds MAX_GROUP");
-    let ch = w.channel_scales();
-    let a = APanels::pack(x);
-    let m = x.rows();
-    mk.record_dispatch(m);
-    let mut out = Mat::zeros(m, n);
-    let strip = mk.strip_width();
-    let kcb = mk.kc_block(group, k);
-    let mut wbuf = vec![0i8; strip * kcb];
-    let mut acc = vec![0i32; mk.acc_len(&a)];
-    for jb in (0..n).step_by(strip) {
-        let nr = strip.min(n - jb);
-        acc.fill(0);
-        let words = w.rows_words(jb, jb + nr);
-        let wpr = words.len() / nr.max(1);
-        let mut k0 = 0usize;
-        while k0 < k {
-            let kc = kcb.min(k - k0);
-            if nr < strip {
-                // Unused strip rows stay zero at the current row stride:
-                // they multiply into chains the writeback never reads.
-                wbuf.fill(0);
-            }
-            // Hint the *next* K block's packed words into cache while
-            // this block dequantizes and reduces.
-            for r in 0..nr {
-                simd::prefetch_read(words, r * wpr + wpr * (k0 + kc) / k.max(1));
-            }
-            let g0 = k0 / group;
-            for r in 0..nr {
-                let dst = &mut wbuf[r * kc..(r + 1) * kc];
-                for (gg, chunk) in dst.chunks_mut(group).enumerate() {
-                    w.dequant_row_group(jb + r, g0 + gg, chunk);
-                }
-            }
-            mk.accumulate(&a, k0, kc, &wbuf[..strip * kc], &mut acc);
-            k0 += kc;
-        }
-        write_strip(mk, &mut out, jb, nr, &a, &acc, (act_scales, ch));
-    }
-    out
-}
-
-/// LiquidGEMM W4A8, serial: the generic strip kernel driven by the LQQ
-/// two-instruction sweet dequantization.
-#[must_use]
-pub fn w4a8_lqq_serial(x: &Mat<i8>, act_scales: &[f32], w: &PackedLqqLinear) -> Mat<f32> {
-    w4a8_serial(x, act_scales, w)
-}
-
-/// QServe-baseline W4A8, serial: identical loop structure, but each
-/// group goes through the emulated-`vsub4` dequantization (19 ops per 8
-/// elements instead of 7).
-#[must_use]
-pub fn w4a8_qoq_serial(x: &Mat<i8>, act_scales: &[f32], w: &PackedQoqLinear) -> Mat<f32> {
-    w4a8_serial(x, act_scales, w)
+    let y_t = serial_tiles(mk, x, w, &ScaleEpilogue(act_scales.to_vec()));
+    assemble_output(y_t, x.rows(), w.n())
 }
 
 /// W8A8, serial: the symmetric-GEMM baseline — no dequantization in the
-/// main loop at all (paper, Figure 3 right). The weight matrix is
-/// row-major, so a full NR-row strip feeds the microkernel in place.
+/// main loop at all (paper, Figure 3 right).
 #[must_use]
 pub fn w8a8_serial(x: &Mat<i8>, act_scales: &[f32], w: &W8A8Linear) -> Mat<f32> {
     assert_eq!(x.cols(), w.q.cols(), "K mismatch");
     assert_eq!(act_scales.len(), x.rows(), "one scale per token");
-    let mk = MicrokernelSet::global();
     let a = APanels::pack(x);
     let (m, k, n) = (x.rows(), x.cols(), w.q.rows());
-    mk.record_dispatch(m);
-    let strip = mk.strip_width();
     let mut out = Mat::zeros(m, n);
-    let mut acc = vec![0i32; mk.acc_len(&a)];
-    let mut pad = vec![0i8; strip * k];
-    for jb in (0..n).step_by(strip) {
-        let nr = strip.min(n - jb);
-        acc.fill(0);
-        if nr == strip {
-            let block = &w.q.as_slice()[jb * k..(jb + strip) * k];
-            mk.accumulate(&a, 0, k, block, &mut acc);
-        } else {
-            pad[..nr * k].copy_from_slice(&w.q.as_slice()[jb * k..(jb + nr) * k]);
-            pad[nr * k..].fill(0);
-            mk.accumulate(&a, 0, k, &pad, &mut acc);
-        }
-        write_strip(
-            mk,
-            &mut out,
-            jb,
-            nr,
-            &a,
-            &acc,
-            (act_scales, &w.channel_scales),
-        );
-    }
+    dense_kernel(
+        MicrokernelSet::global(),
+        &a,
+        w.q.as_slice(),
+        (n, k),
+        |j, i, s| out.set(i, j, s as f32 * act_scales[i] * w.channel_scales[j]),
+    );
     out
 }
 
@@ -248,6 +271,7 @@ pub fn fp8_serial(x: &Mat<f32>, w: &Fp8Linear) -> Mat<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::{PackedLqqLinear, PackedQoqLinear};
     use crate::reference::{epilogue_ref, gemm_f32_ref, gemm_i8_ref, max_abs_diff};
     use lq_quant::act::QuantizedActivations;
     use lq_quant::weights::{QuantScheme, QuantizedLinear};
@@ -271,7 +295,7 @@ mod tests {
         let (xq, xs) = quantized_inputs(m, k);
         let q = QuantizedLinear::quantize(&wf, 64, QuantScheme::Lqq, None);
         let p = PackedLqqLinear::from_quantized(&q);
-        let got = w4a8_lqq_serial(&xq, &xs, &p);
+        let got = w4a8_serial(&xq, &xs, &p);
         // Oracle: dequantize to i8, integer GEMM, epilogue.
         let w_i8 = q.dequant_to_i8();
         let acc = gemm_i8_ref(&xq, &w_i8);
@@ -287,7 +311,7 @@ mod tests {
         let (xq, xs) = quantized_inputs(m, k);
         let q = QuantizedLinear::quantize(&wf, 64, QuantScheme::Qoq, None);
         let p = PackedQoqLinear::from_quantized(&q);
-        let got = w4a8_qoq_serial(&xq, &xs, &p);
+        let got = w4a8_serial(&xq, &xs, &p);
         let w_i8 = q.dequant_to_i8();
         let acc = gemm_i8_ref(&xq, &w_i8);
         let ch: Vec<f32> = q.channel_scales.iter().map(|s| s.scale).collect();
@@ -351,8 +375,8 @@ mod tests {
         let (xq, xs) = quantized_inputs(m, k);
         let lqq = PackedLqqLinear::quantize(&wf, 64);
         let qoq = PackedQoqLinear::quantize(&wf, 64);
-        let a = w4a8_lqq_serial(&xq, &xs, &lqq);
-        let b = w4a8_qoq_serial(&xq, &xs, &qoq);
+        let a = w4a8_serial(&xq, &xs, &lqq);
+        let b = w4a8_serial(&xq, &xs, &qoq);
         let ideal = gemm_f32_ref(&x, &wf);
         let scale_of_outputs = ideal
             .as_slice()
@@ -417,16 +441,61 @@ mod tests {
         let (_, wf) = fixture(m, n, k);
         let (xq, xs) = quantized_inputs(m, k);
         let p = PackedLqqLinear::quantize(&wf, 64);
-        let y = w4a8_lqq_serial(&xq, &xs, &p);
+        let y = w4a8_serial(&xq, &xs, &p);
         assert_eq!((y.rows(), y.cols()), (1, 3));
     }
 
+    /// Every W4A8 entry point — serial, each pool pipeline, and the
+    /// row-parallel sharded path — enforces the same shape contract
+    /// (`check_shapes`) on the calling thread, before any work is
+    /// queued.
     #[test]
-    #[should_panic(expected = "K mismatch")]
     fn shape_mismatch_panics() {
-        let x: Mat<i8> = Mat::zeros(2, 64);
-        let wf = Mat::zeros(2, 128);
-        let p = PackedLqqLinear::quantize(&wf, 64);
-        let _ = w4a8_lqq_serial(&x, &[1.0, 1.0], &p);
+        use crate::api::{KernelKind, W4A8Weights};
+        use crate::runtime::LiquidGemm;
+        use crate::shard::{ShardedGemm, ShardedWeights};
+        use lq_quant::backend::BackendId;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn message(run: impl FnOnce()) -> String {
+            let err = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        }
+
+        let wf = Mat::from_fn(4, 128, |r, c| ((r * 128 + c) as f32 * 0.07).cos());
+        let w = W4A8Weights::quantize(&wf, 64, BackendId::Lqq);
+        let lg = LiquidGemm::builder().workers(2).build().unwrap();
+        let tp = ShardedGemm::builder().shards(2).build().unwrap();
+        let sw = ShardedWeights::from_weights(&w, 2);
+        let short_k: Mat<i8> = Mat::zeros(2, 64);
+        let right_k: Mat<i8> = Mat::zeros(2, 128);
+        let two = [1.0f32, 1.0];
+        let three = [1.0f32; 3];
+
+        let msg = message(|| drop(w4a8_serial(&short_k, &two, w.as_dyn())));
+        assert!(msg.contains("K mismatch"), "w4a8_serial: {msg}");
+        let msg = message(|| drop(w4a8_serial(&right_k, &three, w.as_dyn())));
+        assert!(msg.contains("one scale per token"), "w4a8_serial: {msg}");
+        for kind in [
+            KernelKind::Serial,
+            KernelKind::FlatParallel,
+            KernelKind::ExCp,
+            KernelKind::ImFp,
+        ] {
+            let msg = message(|| drop(lg.gemm(&short_k, &two, &w, kind)));
+            assert!(msg.contains("K mismatch"), "{kind:?}: {msg}");
+            let msg = message(|| drop(lg.gemm(&right_k, &three, &w, kind)));
+            assert!(msg.contains("one scale per token"), "{kind:?}: {msg}");
+        }
+        let msg = message(|| drop(tp.gemm_row(&short_k, &two, &sw)));
+        assert!(msg.contains("K mismatch"), "gemm_row: {msg}");
+        let msg = message(|| drop(tp.gemm_row(&right_k, &three, &sw)));
+        assert!(msg.contains("one scale per token"), "gemm_row: {msg}");
+        // The pools queued nothing for the rejected calls and still work.
+        let y = lg.gemm(&right_k, &two, &w, KernelKind::ImFp).y;
+        assert_eq!((y.rows(), y.cols()), (2, 4));
     }
 }

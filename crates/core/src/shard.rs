@@ -17,8 +17,9 @@
 //!   sequence as the unsharded call: bit-exact by construction.
 //! * **Row parallel** ([`ShardedGemm::gemm_row`]): the K dimension
 //!   (reduction) is split at quant-group boundaries. Each shard
-//!   computes raw i64 partial dot products over its K slice (the
-//!   [`crate::pipeline`] raw drivers — no epilogue), the partials are
+//!   computes exact i64 partial dot products over its K slice (the
+//!   ordinary [`crate::pipeline`] driver with the exact-sum sink
+//!   instead of the epilogue), the partials are
 //!   summed in exact integer arithmetic (the all-reduce), and the
 //!   single activation/channel-scale epilogue runs once on the full
 //!   sum. Every per-slice partial fits i32 (`kc·128·128 < 2^31` for
@@ -50,8 +51,10 @@ use lq_quant::backend::{BackendId, PackedWeights, TileDequant};
 use lq_quant::mat::Mat;
 
 use crate::api::{GemmOutput, KernelKind, W4A8Weights};
-use crate::pipeline::{w4a8_flat_raw, ConfigError};
+use crate::epilogue::{ExactSum, ScaleEpilogue, Sink};
+use crate::pipeline::{drive, ConfigError};
 use crate::runtime::{LiquidGemm, LiquidGemmBuilder};
+use crate::serial::check_shapes;
 use crate::simd::SimdVariant;
 
 // ===========================================================================
@@ -422,7 +425,7 @@ impl ShardedGemm {
         w: &ShardedWeights,
         kind: KernelKind,
     ) -> Result<GemmOutput, ShardError> {
-        assert_eq!(x.cols(), w.k(), "K mismatch");
+        check_shapes(x, Some(act_scales), w.packed.as_ref());
         assert_eq!(w.shards(), self.shards(), "plan/layer shard count");
         let m = x.rows();
         let n = w.n();
@@ -492,8 +495,9 @@ impl ShardedGemm {
     /// by exact integer summation, and the activation/channel epilogue
     /// runs once on the full sums — bit-exact vs the unsharded kernel.
     ///
-    /// Runs the flat raw driver on every shard pool (pipeline choice
-    /// does not apply: there is no per-shard epilogue to overlap).
+    /// Runs the ordinary flat driver with the exact-sum sink on every
+    /// shard pool (pipeline choice does not apply: there is no
+    /// per-shard epilogue to overlap).
     ///
     /// # Errors
     /// [`ShardError::ShardFailed`] if any shard is dead or dies during
@@ -504,8 +508,7 @@ impl ShardedGemm {
         act_scales: &[f32],
         w: &ShardedWeights,
     ) -> Result<GemmOutput, ShardError> {
-        assert_eq!(x.cols(), w.k(), "K mismatch");
-        assert_eq!(act_scales.len(), x.rows(), "one scale per token");
+        check_shapes(x, Some(act_scales), w.packed.as_ref());
         assert_eq!(w.shards(), self.shards(), "plan/layer shard count");
         let (m, n) = (x.rows(), w.n());
         let group = w.group();
@@ -551,7 +554,15 @@ impl ShardedGemm {
                         };
                         let lg = &self.shards[s].gemm;
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            w4a8_flat_raw(lg.pool(), &xs, &view, lg.config())
+                            drive(
+                                lg.pool(),
+                                &xs,
+                                &view,
+                                lg.config(),
+                                KernelKind::FlatParallel,
+                                "flat_raw",
+                                ExactSum,
+                            )
                         }));
                         lq_trace::span_full(
                             lq_trace::EventKind::AllReduce,
@@ -592,6 +603,7 @@ impl ShardedGemm {
             }
         }
         let ch = w.packed.channel_scales();
+        let epilogue = ScaleEpilogue(act_scales.to_vec());
         let mut y = Mat::zeros(m, n);
         for j in 0..n {
             for i in 0..m {
@@ -600,7 +612,7 @@ impl ShardedGemm {
                     i32::try_from(s).is_ok(),
                     "i8 GEMM accumulator exceeded i32 (K > 2^17?)"
                 );
-                y.set(i, j, s as f32 * act_scales[i] * ch[j]);
+                y.set(i, j, epilogue.emit(i, ch[j], s));
             }
         }
         Ok(GemmOutput { y })

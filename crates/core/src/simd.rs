@@ -215,32 +215,6 @@ pub(crate) fn avx2_panel(a: &[&[i8]], w_block: &[i8], kc: usize, strip: usize, a
     }
 }
 
-/// `strip` dot products of one biased activation row chunk against
-/// `strip` weight rows, reduced in-register and *added* to `out[nr]`
-/// (the tiled kernel's per-group accumulation). `kc ≤ 2^14` keeps the
-/// biased in-register sum far from i32 wrap.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn vnni_dot_strip(a_biased: &[u8], w_block: &[i8], kc: usize, out: &mut [i32]) {
-    debug_assert!(SimdVariant::Vnni.available());
-    assert!(kc <= 1 << 14, "dot_strip kc bound (biased i32 headroom)");
-    assert!(a_biased.len() >= kc);
-    assert!(w_block.len() >= out.len() * kc);
-    // SAFETY: bounds checked above; ISA verified at variant selection.
-    unsafe { dot_strip_vnni(a_biased, w_block, kc, out) }
-}
-
-/// `strip` dot products of one i8 activation row chunk against `strip`
-/// weight rows, reduced in-register and *added* to `out[nr]`.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_dot_strip(a: &[i8], w_block: &[i8], kc: usize, out: &mut [i32]) {
-    debug_assert!(SimdVariant::Avx2.available());
-    assert!(kc <= 1 << 14, "dot_strip kc bound");
-    assert!(a.len() >= kc);
-    assert!(w_block.len() >= out.len() * kc);
-    // SAFETY: bounds checked above; ISA verified at variant selection.
-    unsafe { dot_strip_avx2(a, w_block, kc, out) }
-}
-
 // Non-x86_64 stubs: the dispatch layer can only select SIMD variants
 // where `available()` said yes, which is never on these targets.
 #[cfg(not(target_arch = "x86_64"))]
@@ -255,12 +229,6 @@ mod stubs {
     pub(crate) fn avx2_panel(_: &[&[i8]], _: &[i8], _: usize, _: usize, _: &mut [i32]) {
         unreachable!("AVX2 kernel on a non-x86_64 target")
     }
-    pub(crate) fn vnni_dot_strip(_: &[u8], _: &[i8], _: usize, _: &mut [i32]) {
-        unreachable!("VNNI kernel on a non-x86_64 target")
-    }
-    pub(crate) fn avx2_dot_strip(_: &[i8], _: &[i8], _: usize, _: &mut [i32]) {
-        unreachable!("AVX2 kernel on a non-x86_64 target")
-    }
 }
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) use stubs::*;
@@ -271,12 +239,10 @@ pub(crate) use stubs::*;
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
-    __m128i, __m256i, __mmask64, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-    _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256,
-    _mm256_storeu_si256, _mm512_add_epi32, _mm512_dpbusd_epi32, _mm512_loadu_si512,
-    _mm512_maskz_loadu_epi8, _mm512_reduce_add_epi32, _mm512_set1_epi8, _mm512_setzero_si512,
-    _mm512_storeu_si512, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
-    _mm_unpackhi_epi64,
+    __m128i, __m256i, __mmask64, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256,
+    _mm256_madd_epi16, _mm256_setzero_si256, _mm256_storeu_si256, _mm512_add_epi32,
+    _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_maskz_loadu_epi8, _mm512_set1_epi8,
+    _mm512_setzero_si512, _mm512_storeu_si512, _mm_loadu_si128,
 };
 
 /// How many K bytes ahead of the current position the panel kernels
@@ -354,52 +320,6 @@ unsafe fn wsum_vnni(w_block: &[i8], kc: usize, strip: usize, acc: &mut [i32]) {
     }
 }
 
-/// # Safety
-/// Caller guarantees avx512f/bw/vnni, `a_biased.len() >= kc`,
-/// `w_block.len() >= out.len()*kc`, `kc ≤ 2^14`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-unsafe fn dot_strip_vnni(a_biased: &[u8], w_block: &[i8], kc: usize, out: &mut [i32]) {
-    let ones = _mm512_set1_epi8(1);
-    for (nr, o) in out.iter_mut().enumerate() {
-        let w_row = w_block.as_ptr().add(nr * kc);
-        let mut biased = _mm512_setzero_si512();
-        let mut wsum = _mm512_setzero_si512();
-        let mut t = 0usize;
-        while t + 64 <= kc {
-            let wv = _mm512_loadu_si512(w_row.add(t).cast());
-            let av = _mm512_loadu_si512(a_biased.as_ptr().add(t).cast());
-            biased = _mm512_dpbusd_epi32(biased, av, wv);
-            wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-            t += 64;
-        }
-        if t < kc {
-            let mask: __mmask64 = (1u64 << (kc - t)) - 1;
-            let wv = _mm512_maskz_loadu_epi8(mask, w_row.add(t));
-            let av = _mm512_maskz_loadu_epi8(mask, a_biased.as_ptr().add(t).cast());
-            biased = _mm512_dpbusd_epi32(biased, av, wv);
-            wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-        }
-        // kc ≤ 2^14 ⇒ |biased total| ≤ 255·128·2^14 < 2^30: safe in i32.
-        *o += _mm512_reduce_add_epi32(biased) - 128 * _mm512_reduce_add_epi32(wsum);
-    }
-}
-
-/// Horizontal sum of 8 i32 lanes.
-///
-/// # Safety
-/// Caller guarantees avx2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum_epi32_avx2(v: __m256i) -> i32 {
-    let lo = _mm256_castsi256_si128(v);
-    let hi = _mm256_extracti128_si256(v, 1);
-    let s = _mm_add_epi32(lo, hi);
-    let s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0101_0101));
-    _mm_cvtsi128_si32(s)
-}
-
 /// Load 16 i8 and sign-extend to 16 i16 lanes.
 ///
 /// # Safety
@@ -455,37 +375,6 @@ unsafe fn panel_avx2<const MR: usize>(
             let cur = _mm256_loadu_si256(dst.cast_const().cast());
             _mm256_storeu_si256(dst.cast(), _mm256_add_epi32(cur, *lane));
         }
-    }
-}
-
-/// # Safety
-/// Caller guarantees avx2, `a.len() >= kc`,
-/// `w_block.len() >= out.len()*kc`, `kc ≤ 2^14`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_strip_avx2(a: &[i8], w_block: &[i8], kc: usize, out: &mut [i32]) {
-    for (nr, o) in out.iter_mut().enumerate() {
-        let w_row = w_block.as_ptr().add(nr * kc);
-        let mut lanes = _mm256_setzero_si256();
-        let mut t = 0usize;
-        while t + 16 <= kc {
-            let wv = load_sx16(w_row.add(t));
-            let av = load_sx16(a.as_ptr().add(t));
-            lanes = _mm256_add_epi32(lanes, _mm256_madd_epi16(av, wv));
-            t += 16;
-        }
-        if t < kc {
-            let rem = kc - t;
-            let mut wtail = [0i8; 16];
-            wtail[..rem].copy_from_slice(&w_block[nr * kc + t..nr * kc + kc]);
-            let mut atail = [0i8; 16];
-            atail[..rem].copy_from_slice(&a[t..kc]);
-            lanes = _mm256_add_epi32(
-                lanes,
-                _mm256_madd_epi16(load_sx16(atail.as_ptr()), load_sx16(wtail.as_ptr())),
-            );
-        }
-        *o += hsum_epi32_avx2(lanes);
     }
 }
 
@@ -563,11 +452,6 @@ mod tests {
                             .sum();
                         assert_eq!(got, i64::from(w), "avx2 kc={kc} chain={ci}");
                     }
-                    let mut out = vec![0i32; strip];
-                    avx2_dot_strip(rows[0], &w_block, kc, &mut out);
-                    for nr in 0..strip {
-                        assert_eq!(out[nr], want[nr * 6], "avx2 dot_strip kc={kc} nr={nr}");
-                    }
                 }
                 if SimdVariant::Vnni.available() {
                     let mut acc = vec![0i32; strip * 6 * 16];
@@ -591,11 +475,6 @@ mod tests {
                                 "vnni kc={kc} chain={ci}"
                             );
                         }
-                    }
-                    let mut out = vec![0i32; strip];
-                    vnni_dot_strip(brows[0], &w_block, kc, &mut out);
-                    for nr in 0..strip {
-                        assert_eq!(out[nr], want[nr * 6], "vnni dot_strip kc={kc} nr={nr}");
                     }
                 }
             }

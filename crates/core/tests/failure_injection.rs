@@ -5,12 +5,10 @@ use lq_core::api::W4A8Weights;
 use lq_core::packed::PackedLqqLinear;
 use lq_core::pipeline::ParallelConfig;
 use lq_core::reference::max_abs_diff;
-use lq_core::scheduler::TaskScheduler;
 use lq_core::PlacementPolicy;
 use lq_core::{KernelKind, LiquidGemm};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn fixture(m: usize, n: usize, k: usize) -> (Mat<i8>, Vec<f32>, PackedLqqLinear) {
@@ -27,7 +25,7 @@ fn fixture(m: usize, n: usize, k: usize) -> (Mat<i8>, Vec<f32>, PackedLqqLinear)
 #[test]
 fn degenerate_configs_terminate_and_agree() {
     let (x, s, w) = fixture(3, 10, 128);
-    let weights = W4A8Weights::lqq(w);
+    let weights = W4A8Weights::from_arc(Arc::new(w));
     let lg = LiquidGemm::builder().workers(4).build().unwrap();
     let base = lg.gemm(&x, &s, &weights, KernelKind::Serial).y;
     for cfg in [
@@ -76,7 +74,7 @@ fn worker_panic_propagates_not_deadlocks() {
     // strong claim is that the pool still works and drops cleanly.
     assert!(result.is_ok(), "containment must not poison the caller");
     let (x, s, w) = fixture(2, 8, 64);
-    let weights = W4A8Weights::lqq(w);
+    let weights = W4A8Weights::from_arc(Arc::new(w));
     let base = lg.gemm(&x, &s, &weights, KernelKind::Serial).y;
     let y = lg.gemm(&x, &s, &weights, KernelKind::ImFp).y;
     assert_eq!(max_abs_diff(&y, &base), 0.0);
@@ -108,45 +106,12 @@ fn channel_disconnect_prevents_send_deadlock() {
     assert!(result.is_err(), "the injected panic must surface");
 }
 
-/// The dynamic task scheduler under a worker that dies mid-stream:
-/// remaining tasks are still claimed exactly once by the survivors.
-#[test]
-fn scheduler_survives_dying_worker() {
-    let total = 1000;
-    let sched = Arc::new(TaskScheduler::new(total));
-    let done = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
-    for worker in 0..4 {
-        let sched = Arc::clone(&sched);
-        let done = Arc::clone(&done);
-        handles.push(std::thread::spawn(move || {
-            let mut claimed = 0;
-            while let Some(_id) = sched.claim() {
-                done.fetch_add(1, Ordering::Relaxed);
-                claimed += 1;
-                // Worker 0 "dies" after 10 tasks.
-                if worker == 0 && claimed == 10 {
-                    return;
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("no panics here");
-    }
-    assert_eq!(
-        done.load(Ordering::Relaxed),
-        total,
-        "all tasks processed despite early exit"
-    );
-}
-
 /// Zero-size edge: N smaller than one task and M = 1 must work through
 /// every pipeline.
 #[test]
 fn minimum_size_problem() {
     let (x, s, w) = fixture(1, 1, 64);
-    let weights = W4A8Weights::lqq(w);
+    let weights = W4A8Weights::from_arc(Arc::new(w));
     let lg = LiquidGemm::builder()
         .workers(4)
         .task_rows(8)
@@ -166,7 +131,7 @@ fn minimum_size_problem() {
 #[test]
 fn shared_weights_across_concurrent_gemms() {
     let (x, s, w) = fixture(4, 24, 128);
-    let weights = Arc::new(W4A8Weights::lqq(w));
+    let weights = Arc::new(W4A8Weights::from_arc(Arc::new(w)));
     let lg = Arc::new(
         LiquidGemm::builder()
             .workers(2)

@@ -3,14 +3,14 @@
 //! arbitrary shapes and data (seeded in-tree PRNG; offline sandbox has
 //! no proptest).
 
+use std::sync::Arc;
+
 use lq_core::api::W4A8Weights;
 use lq_core::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
 use lq_core::pipeline::ParallelConfig;
 use lq_core::reference::{epilogue_ref, gemm_i8_ref, max_abs_diff};
-use lq_core::serial::{w4a8_lqq_serial, w4a8_qoq_serial, w8a8_serial};
-use lq_core::tiled::w4a8_lqq_tiled;
+use lq_core::serial::{w4a8_serial, w8a8_serial};
 use lq_core::{KernelKind, LiquidGemm};
-use lq_layout::tiles::TileConfig;
 use lq_quant::level1::PROTECTIVE_MAX;
 use lq_quant::lqq::LqqTensor;
 use lq_quant::mat::Mat;
@@ -44,7 +44,7 @@ fn lqq_serial_equals_oracle() {
         let t = LqqTensor::quantize(&w_l1, 32);
         let ch: Vec<f32> = (0..w_l1.rows()).map(|r| 0.01 + r as f32 * 0.001).collect();
         let packed = PackedLqqLinear::from_tensor(&t, ch.clone());
-        let got = w4a8_lqq_serial(&x, &scales, &packed);
+        let got = w4a8_serial(&x, &scales, &packed);
         let want = oracle(&x, &scales, &t.dequantize(), &ch);
         assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case}");
     }
@@ -59,7 +59,7 @@ fn qoq_serial_equals_oracle() {
         let t = QoqTensor::quantize(&w_l1, 32);
         let ch: Vec<f32> = (0..w_l1.rows()).map(|r| 0.02 + r as f32 * 0.002).collect();
         let packed = PackedQoqLinear::from_tensor(&t, ch.clone());
-        let got = w4a8_qoq_serial(&x, &scales, &packed);
+        let got = w4a8_serial(&x, &scales, &packed);
         let want = oracle(&x, &scales, &t.dequantize(), &ch);
         assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case}");
     }
@@ -103,7 +103,7 @@ fn pipelines_equal_serial() {
             .expect("randomized config in valid range");
         let t = LqqTensor::quantize(&w_l1, 32);
         let ch: Vec<f32> = (0..w_l1.rows()).map(|_| 0.1).collect();
-        let packed = W4A8Weights::lqq(PackedLqqLinear::from_tensor(&t, ch));
+        let packed = W4A8Weights::from_arc(Arc::new(PackedLqqLinear::from_tensor(&t, ch)));
         let base = lg
             .gemm_with(&x, &scales, &packed, KernelKind::Serial, cfg)
             .y;
@@ -111,26 +111,5 @@ fn pipelines_equal_serial() {
             let y = lg.gemm_with(&x, &scales, &packed, kind, cfg).y;
             assert_eq!(max_abs_diff(&y, &base), 0.0, "case {case} {kind:?} {cfg:?}");
         }
-    }
-}
-
-/// The tiled kernel equals the serial kernel for arbitrary tile shapes
-/// whose Kt is a multiple of the group size.
-#[test]
-fn tiled_equals_serial() {
-    let mut rng = Rng::new(0xC0DE_0005);
-    for case in 0..CASES {
-        let (x, scales, w_l1) = problem(&mut rng);
-        let tile = TileConfig {
-            mt: rng.range_usize(1, 8),
-            nt: rng.range_usize(1, 8),
-            kt: rng.range_usize(1, 4) * 32,
-        };
-        let t = LqqTensor::quantize(&w_l1, 32);
-        let ch: Vec<f32> = (0..w_l1.rows()).map(|_| 0.3).collect();
-        let packed = PackedLqqLinear::from_tensor(&t, ch);
-        let want = w4a8_lqq_serial(&x, &scales, &packed);
-        let got = w4a8_lqq_tiled(&x, &scales, &packed, tile);
-        assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case} {tile:?}");
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use lq_core::api::W4A8Weights;
 use lq_core::reference::max_abs_diff;
-use lq_core::serial::{w4a8_lqq_serial, w4a8_qoq_serial};
+use lq_core::serial::w4a8_serial;
 use lq_core::{KernelKind, LiquidGemm, PackedLqqLinear, PackedQoqLinear};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
@@ -45,13 +45,13 @@ fn build_cases() -> Vec<Case> {
             let qa = QuantizedActivations::quantize(&xf, None);
             let lqq = PackedLqqLinear::quantize(&wf, 64);
             let qoq = PackedQoqLinear::quantize(&wf, 64);
-            let want_lqq = w4a8_lqq_serial(&qa.q, &qa.scales, &lqq);
-            let want_qoq = w4a8_qoq_serial(&qa.q, &qa.scales, &qoq);
+            let want_lqq = w4a8_serial(&qa.q, &qa.scales, &lqq);
+            let want_qoq = w4a8_serial(&qa.q, &qa.scales, &qoq);
             Case {
                 x: qa.q,
                 scales: qa.scales,
-                lqq: W4A8Weights::lqq(lqq),
-                qoq: W4A8Weights::qoq(qoq),
+                lqq: W4A8Weights::from_arc(Arc::new(lqq)),
+                qoq: W4A8Weights::from_arc(Arc::new(qoq)),
                 want_lqq,
                 want_qoq,
             }

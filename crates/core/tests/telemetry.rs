@@ -5,11 +5,12 @@
 use lq_core::api::W4A8Weights;
 use lq_core::pipeline::ParallelConfig;
 use lq_core::reference::max_abs_diff;
-use lq_core::serial::w4a8_lqq_serial;
+use lq_core::serial::w4a8_serial;
 use lq_core::{KernelKind, LiquidGemm, PackedLqqLinear};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
 use lq_rng::Rng;
+use std::sync::Arc;
 
 /// All tests record into the same process-global registry; serialize
 /// them so exact-delta assertions aren't perturbed by the other tests'
@@ -64,8 +65,8 @@ fn imfp_stall_counters_monotone_across_runs() {
             .unwrap();
 
         let tasks_before = tasks.get();
-        let want = w4a8_lqq_serial(&x, &s, &w);
-        let weights = W4A8Weights::lqq(w);
+        let want = w4a8_serial(&x, &s, &w);
+        let weights = W4A8Weights::from_arc(Arc::new(w));
         let got = lg.gemm_with(&x, &s, &weights, KernelKind::ImFp, cfg).y;
         assert_eq!(max_abs_diff(&got, &want), 0.0, "round {round}");
 
@@ -95,7 +96,7 @@ fn gemm_call_histogram_counts_calls() {
     lq_telemetry::enable();
     let mut rng = Rng::new(7);
     let (x, s, w) = fixture(&mut rng, 3, 12, 128);
-    let weights = W4A8Weights::lqq(w);
+    let weights = W4A8Weights::from_arc(Arc::new(w));
     let lg = LiquidGemm::builder()
         .workers(2)
         .task_rows(4)
@@ -120,7 +121,7 @@ fn pool_metrics_are_exported() {
     let reg = lq_telemetry::registry();
     let mut rng = Rng::new(11);
     let (x, s, w) = fixture(&mut rng, 2, 16, 64);
-    let weights = W4A8Weights::lqq(w);
+    let weights = W4A8Weights::from_arc(Arc::new(w));
     // Fresh single-worker pool: all jobs land on worker 0.
     let lg = LiquidGemm::builder()
         .workers(1)

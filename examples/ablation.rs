@@ -4,8 +4,7 @@
 //!
 //! Run: `cargo run --release --example ablation`
 
-use liquidgemm::core::packed::{PackedLqqLinear, PackedQoqLinear};
-use liquidgemm::core::serial::{w4a8_lqq_serial, w4a8_qoq_serial};
+use liquidgemm::core::serial::w4a8_serial;
 use liquidgemm::prelude::*;
 use liquidgemm::quant::act::QuantizedActivations;
 use liquidgemm::quant::mat::Mat;
@@ -32,8 +31,8 @@ fn main() {
     let w = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.021).sin());
     let x = Mat::from_fn(m, k, |r, c| ((r + c) as f32 * 0.017).cos());
     let qa = QuantizedActivations::quantize(&x, None);
-    let lqq = PackedLqqLinear::quantize(&w, 64);
-    let qoq = PackedQoqLinear::quantize(&w, 64);
+    let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
+    let qoq = W4A8Weights::quantize(&w, 64, BackendId::Qoq);
     let workers = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
     let lg = LiquidGemm::builder()
         .workers(workers)
@@ -41,13 +40,12 @@ fn main() {
         .stages(2 * workers)
         .build()
         .expect("valid config");
-    let weights = W4A8Weights::lqq(lqq.clone());
 
     let t_base = median(3, || {
-        std::hint::black_box(w4a8_qoq_serial(&qa.q, &qa.scales, &qoq));
+        std::hint::black_box(w4a8_serial(&qa.q, &qa.scales, qoq.as_dyn()));
     });
     let t_lqq = median(3, || {
-        std::hint::black_box(w4a8_lqq_serial(&qa.q, &qa.scales, &lqq));
+        std::hint::black_box(w4a8_serial(&qa.q, &qa.scales, weights.as_dyn()));
     });
     let t_excp = median(3, || {
         std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::ExCp));

@@ -3,10 +3,10 @@
 //! consistency.
 
 use liquidgemm::core::api::W4A8Weights;
-use liquidgemm::core::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
+use liquidgemm::core::packed::W8A8Linear;
 use liquidgemm::core::reference::{gemm_f32_ref, max_abs_diff};
 use liquidgemm::core::serial::w8a8_serial;
-use liquidgemm::core::{KernelKind, LiquidGemm, ParallelConfig};
+use liquidgemm::core::{BackendId, KernelKind, LiquidGemm, ParallelConfig};
 use liquidgemm::quant::act::QuantizedActivations;
 use liquidgemm::quant::mat::Mat;
 use liquidgemm::quant::metrics::error_stats;
@@ -36,8 +36,8 @@ fn w4a8_end_to_end_accuracy_vs_fp32() {
     let qa = QuantizedActivations::quantize(&x, None);
     let lg = handle();
     for (name, weights) in [
-        ("lqq", W4A8Weights::lqq(PackedLqqLinear::quantize(&w, 64))),
-        ("qoq", W4A8Weights::qoq(PackedQoqLinear::quantize(&w, 64))),
+        ("lqq", W4A8Weights::quantize(&w, 64, BackendId::Lqq)),
+        ("qoq", W4A8Weights::quantize(&w, 64, BackendId::Qoq)),
     ] {
         let y = lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial).y;
         let e = error_stats(&oracle, &y);
@@ -50,7 +50,7 @@ fn w4a8_end_to_end_accuracy_vs_fp32() {
 fn all_pipeline_variants_bit_identical_on_large_shape() {
     let (x, w) = fixture(24, 256, 768, false);
     let qa = QuantizedActivations::quantize(&x, None);
-    let weights = W4A8Weights::lqq(PackedLqqLinear::quantize(&w, 64));
+    let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
     let lg = LiquidGemm::builder().workers(4).build().unwrap();
     let cfg = ParallelConfig::builder()
         .task_rows(7)
@@ -74,7 +74,7 @@ fn smoothquant_calibration_helps_the_full_w4a8_path() {
     // Without smoothing.
     let lg = handle();
     let qa = QuantizedActivations::quantize(&x, None);
-    let weights = W4A8Weights::lqq(PackedLqqLinear::quantize(&w, 8));
+    let weights = W4A8Weights::quantize(&w, 8, BackendId::Lqq);
     let y_plain = lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial).y;
     let e_plain = error_stats(&oracle, &y_plain);
 
@@ -82,7 +82,7 @@ fn smoothquant_calibration_helps_the_full_w4a8_path() {
     let cal = calibrate(&x, &w, 9);
     let w_s = liquidgemm::quant::smooth::smooth_weights(&w, &cal.scales);
     let qa_s = QuantizedActivations::quantize(&x, Some(&cal.scales));
-    let weights_s = W4A8Weights::lqq(PackedLqqLinear::quantize(&w_s, 8));
+    let weights_s = W4A8Weights::quantize(&w_s, 8, BackendId::Lqq);
     let y_s = lg
         .gemm(&qa_s.q, &qa_s.scales, &weights_s, KernelKind::Serial)
         .y;
@@ -104,7 +104,7 @@ fn w4a8_tracks_w8a8_within_second_level_error() {
     let qa = QuantizedActivations::quantize(&x, None);
     let w8 = W8A8Linear::quantize(&w);
     let y8 = w8a8_serial(&qa.q, &qa.scales, &w8);
-    let weights = W4A8Weights::lqq(PackedLqqLinear::quantize(&w, 64));
+    let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
     let y4 = handle()
         .gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial)
         .y;
@@ -121,7 +121,7 @@ fn group_size_sweep_is_monotone_in_fidelity() {
     let lg = handle();
     let mut last_sqnr = f64::NEG_INFINITY;
     for group in [256, 128, 32, 8] {
-        let weights = W4A8Weights::lqq(PackedLqqLinear::quantize(&w, group));
+        let weights = W4A8Weights::quantize(&w, group, BackendId::Lqq);
         let y = lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial).y;
         let e = error_stats(&oracle, &y);
         assert!(

@@ -127,8 +127,13 @@ fn run_once(inj: Option<Arc<FaultInjector>>) -> (RouterStats, Arc<Audit>) {
     (out, audit)
 }
 
+/// Both tests kill replicas, and the telemetry test asserts exact deltas
+/// on the process-global failover counter: they must not overlap.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
 #[test]
 fn seeded_replica_kills_fail_over_bit_exactly() {
+    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     // Clean reference: no injector, every request finishes in one
     // session.
     let (clean, clean_audit) = run_once(None);
@@ -201,6 +206,7 @@ fn seeded_replica_kills_fail_over_bit_exactly() {
 
 #[test]
 fn failover_exports_router_telemetry() {
+    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     liquidgemm::telemetry::enable();
     let reg = liquidgemm::telemetry::registry();
     let failovers0 = reg.counter("lq_router_failovers_total").get();

@@ -11,7 +11,6 @@
 //! serialize on one mutex and drain the buffers at entry — parallel
 //! test threads must not interleave their event streams.
 
-use liquidgemm::core::packed::PackedLqqLinear;
 use liquidgemm::prelude::*;
 use liquidgemm::quant::act::QuantizedActivations;
 use liquidgemm::quant::mat::Mat;
@@ -35,7 +34,7 @@ fn fixture(m: usize, n: usize, k: usize) -> (Mat<i8>, Vec<f32>, W4A8Weights) {
     (
         qa.q,
         qa.scales,
-        W4A8Weights::lqq(PackedLqqLinear::quantize(&wf, 64)),
+        W4A8Weights::quantize(&wf, 64, BackendId::Lqq),
     )
 }
 
