@@ -22,9 +22,6 @@
 //!   W4A16/FP16 baseline kernels.
 //! * [`w4f16`] — the AWQ-style UINT4 → FP16 magic-number conversion
 //!   (the TRT-W4A16 baseline's dequantization), instruction-audited.
-//! * [`kv4`] — QServe's 4-bit group-wise KV-cache codec (the
-//!   W4A8**KV4** baseline's cache format), for the executable
-//!   KV4-vs-INT8 trade-off.
 //! * [`weights`] — the end-to-end two-level pipeline producing a
 //!   [`weights::QuantizedLinear`] ready for the GEMM kernels.
 //! * [`metrics`] — quantization-error metrics (MSE, SQNR, max-abs,
@@ -51,7 +48,6 @@ pub mod codebook;
 pub mod dequant;
 pub mod fp16;
 pub mod fp8;
-pub mod kv4;
 pub mod level1;
 pub mod lqq;
 pub mod lut;

@@ -102,7 +102,7 @@ impl PagedKvCache {
     }
 
     /// Would a reservation of `tokens` tokens succeed right now? The
-    /// admission-control predicate used by both serving backends.
+    /// admission-control predicate of the serving loop.
     #[must_use]
     pub fn can_reserve(&self, tokens: usize) -> bool {
         self.pages_for(tokens.max(1)) <= self.free.len()

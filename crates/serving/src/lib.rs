@@ -15,22 +15,23 @@
 //!   kernel model + KV precision + runtime overheads.
 //! * [`decode`] — per-decode-step latency with the paper's three-way
 //!   breakdown (GEMM / Attention / Others).
-//! * [`request`] — the shared serving API surface: [`Request`]
-//!   workloads with [`Priority`] tiers, [`Completion`] records with a
-//!   status enum (`Finished` / `TimedOut` / `Rejected`), [`RunStats`],
+//! * [`request`] — the serving API surface: [`Request`] workloads with
+//!   [`Priority`] tiers, [`Completion`] records with a status enum
+//!   (`Finished` / `TimedOut` / `Rejected` / `Failed`), [`RunStats`],
 //!   the validating [`SchedulerConfig::builder`] with
 //!   [`AdmissionPolicy`] (SLO-tiered queue shedding) and
 //!   [`PreemptionPolicy`] (priority-KV preemption) knobs.
-//! * [`scheduler`] — a continuous-batching request scheduler
-//!   (Orca-style iteration-level scheduling, conservative admission
-//!   against the paged allocator) that *runs* the serving loop against
-//!   modelled costs and produces request latencies and sustained
-//!   throughput — the *simulation* backend.
-//! * [`runtime`] — the *executable* backend of the same API:
-//!   [`runtime::ServingRuntime`] drives a real [`runtime::ServingEngine`]
-//!   (e.g. `lq_engine::TinyLlm` over the persistent `LiquidGemm` pool)
-//!   with batched prefill and iteration-level batched decode, measuring
-//!   wall-clock time instead of modelling it.
+//! * [`runtime`] — the one serving loop: [`runtime::ServingRuntime`]
+//!   (Orca-style iteration-level scheduling, admission against the
+//!   paged allocator, batched prefill, iteration-level batched decode,
+//!   deadlines, preemption, failure containment) over any
+//!   [`runtime::ServingEngine`] — e.g. `lq_engine::TinyLlm` on the
+//!   persistent `LiquidGemm` pool, in measured wall-clock time.
+//! * [`scheduler`] — the same loop in modelled time:
+//!   [`scheduler::ModelledEngine`] prices each prefill and decode call
+//!   with [`decode`]'s H800 cost model, and [`run_schedule`] sizes a
+//!   runtime to a GPU's KV budget and runs it — request latencies and
+//!   sustained throughput for any arrival pattern.
 //! * [`throughput`] — the 80 GB memory budget, feasible-batch search,
 //!   and peak-throughput scan that regenerates Table 1.
 //!
@@ -61,6 +62,6 @@ pub use runtime::{
     DrainedRun, PromptRequest, ServingConfigError, ServingEngine, ServingRuntime,
     ServingRuntimeBuilder,
 };
-pub use scheduler::run_schedule;
+pub use scheduler::{run_schedule, ModelledEngine};
 pub use system::{ServingSystem, SystemId};
 pub use throughput::{max_feasible_batch, peak_throughput, PeakResult};

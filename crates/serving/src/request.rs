@@ -1,18 +1,19 @@
-//! Shared request/completion types and the scheduler configuration —
-//! one API surface for both scheduler backends.
+//! Request/completion types and the scheduler configuration — the API
+//! surface of the serving loop.
 //!
-//! The *simulated* backend ([`crate::scheduler::run_schedule`]) advances
-//! modelled time from the cost model; the *executable* backend
-//! ([`crate::runtime::ServingRuntime`]) runs real batched GEMMs on the
-//! persistent pool and advances measured time. Both consume [`Request`]
-//! workloads under a [`SchedulerConfig`] and produce [`RunStats`] of
-//! [`Completion`] records, so an experiment written against one backend
-//! runs unchanged against the other.
+//! One loop ([`crate::runtime::ServingRuntime`]) consumes [`Request`]
+//! workloads under a [`SchedulerConfig`] and produces [`RunStats`] of
+//! [`Completion`] records, whichever engine drives it: a real one
+//! (batched GEMMs on the persistent pool, measured time) or
+//! [`crate::scheduler::ModelledEngine`] behind
+//! [`crate::scheduler::run_schedule`] (H800 cost model, modelled time).
+//! An experiment written against one runs unchanged — same policies,
+//! same statuses — against the other.
 
 use std::fmt;
 
 /// Priority tier of a request. Tiers order `Low < Normal < High`;
-/// the executable scheduler admits strictly by tier (High first) and,
+/// admission is strictly by tier (High first) and,
 /// under [`PreemptionPolicy::PriorityKv`], a higher-tier request may
 /// preempt lower-tier running sequences when its KV reservation does
 /// not fit.
@@ -128,11 +129,12 @@ pub enum CompletionStatus {
     TimedOut,
     /// The bounded queue was full at arrival (or the reservation can
     /// never fit); the request was never admitted. Also the ingest
-    /// verdict for malformed requests (non-finite arrival/deadline).
+    /// verdict for malformed requests (non-finite arrival/deadline,
+    /// empty prompt, zero output).
     Rejected,
     /// An unrecoverable engine or allocation error mid-flight: the
-    /// request's KV pages were fully released and the rest of the
-    /// batch kept running. Only the executable backend produces this.
+    /// request's KV pages were fully released and the loop kept
+    /// serving.
     Failed,
 }
 
@@ -172,23 +174,22 @@ impl Completion {
     }
 }
 
-/// Aggregate results of a scheduling run (either backend).
+/// Aggregate results of a serving run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Per-request completions, in the order they left the system.
     pub completions: Vec<Completion>,
     /// Total generated tokens.
     pub generated_tokens: u64,
-    /// Wall-clock makespan (seconds — modelled or measured, per
-    /// backend).
+    /// Serving-clock makespan (seconds — measured or modelled, per
+    /// engine).
     pub makespan: f64,
     /// Largest concurrent batch observed.
     pub peak_batch: usize,
     /// Decode iterations executed.
     pub decode_steps: u64,
-    /// Running sequences preempted (KV released, re-queued). Only the
-    /// executable backend under [`PreemptionPolicy::PriorityKv`]
-    /// produces a non-zero count.
+    /// Running sequences preempted (KV released, re-queued); non-zero
+    /// only under [`PreemptionPolicy::PriorityKv`].
     pub preemptions: u64,
     /// Tokens discarded by preemption or replica evacuation (work that
     /// was generated, then thrown away; excluded from
@@ -197,7 +198,7 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Empty stats (the accumulator both backends start from).
+    /// Empty stats (the accumulator a run starts from).
     #[must_use]
     pub fn empty() -> Self {
         Self {
@@ -360,11 +361,11 @@ pub enum PreemptionPolicy {
     /// A pending request may preempt strictly-lower-priority running
     /// sequences: victims' KV pages are fully released and the victims
     /// re-queue (front of their tier's queue, original arrival kept)
-    /// to restart from prefill later. Executable backend only.
+    /// to restart from prefill later.
     PriorityKv,
 }
 
-/// Scheduler configuration, shared by both backends. Construct via
+/// Scheduler configuration. Construct via
 /// [`SchedulerConfig::builder`] (validated) or [`Default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {

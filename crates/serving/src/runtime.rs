@@ -1,29 +1,32 @@
-//! Executable continuous-batching serving runtime — the *measured*
-//! backend of the shared serving API in [`crate::request`].
+//! The continuous-batching serving loop — the one implementation of
+//! ingest → admit → prefill → decode → retire in the workspace, behind
+//! the request API in [`crate::request`].
 //!
-//! Where [`crate::scheduler::run_schedule`] advances modelled time from
-//! the cost model, [`ServingRuntime`] drives a real engine: admission
-//! control against the same [`PagedKvCache`] reservation rule, batched
-//! prefill on admission, and iteration-level decode in which every
-//! running sequence contributes one row to a single M=batch forward
-//! pass per iteration — on `lq_engine::TinyLlm` that stacks all live
-//! sequences into one activation matrix per layer and submits it as one
-//! GEMM to the shared `Arc<LiquidGemm>` pool (the CPU analogue of the
-//! paper's batched decode GEMMs, Figure 10 / Table 1).
+//! [`ServingRuntime`] schedules over a [`ServingEngine`]: admission
+//! control against [`PagedKvCache`] reservations, batched prefill on
+//! admission, and iteration-level decode in which every running
+//! sequence contributes one row to a single M=batch forward pass per
+//! iteration — on `lq_engine::TinyLlm` that stacks all live sequences
+//! into one activation matrix per layer and submits it as one GEMM to
+//! the shared `Arc<LiquidGemm>` pool (the CPU analogue of the paper's
+//! batched decode GEMMs, Figure 10 / Table 1).
 //!
 //! The runtime is generic over [`ServingEngine`] so `lq-serving` does
 //! not depend on `lq-engine` (which depends back on this crate for the
-//! KV page tables); `TinyLlm` implements the trait in `lq-engine`.
+//! KV page tables); `TinyLlm` implements the trait in `lq-engine`, and
+//! [`crate::scheduler::ModelledEngine`] implements it here to run the
+//! same loop against the H800 cost model.
 //!
-//! Time is a virtual clock in seconds: it advances by the *measured*
-//! wall-clock duration of each prefill/decode call and jumps forward
+//! Time is a virtual clock in seconds: after each prefill cohort and
+//! each decode step it advances by [`ServingEngine::clock_advance`] —
+//! the *measured* wall-clock duration of the call(s) for a real engine,
+//! their *modelled* cost for `ModelledEngine` — and it jumps forward
 //! over idle gaps to the next arrival. Request latencies therefore
-//! reflect real compute while arrival schedules stay reproducible —
+//! reflect compute while arrival schedules stay reproducible —
 //! makespan is (compute time) + (idle gaps), never inflated by host
 //! scheduling between runs.
 //!
-//! Robustness mirrors the simulation backend exactly: per-request
-//! deadlines evict with clean KV-page release
+//! Per-request deadlines evict with clean KV-page release
 //! ([`CompletionStatus::TimedOut`]), a bounded queue rejects arrivals
 //! when full ([`CompletionStatus::Rejected`]), and per-request
 //! latency / queue-delay histograms are recorded in telemetry.
@@ -38,9 +41,9 @@
 //! in both cases every KV page is released and the request completes
 //! as [`CompletionStatus::Failed`] instead of unwinding through the
 //! loop. Denied KV allocations (e.g. an injected fault from
-//! [`ServingRuntime::with_fault_injector`]) take the same path.
-//! Malformed requests with non-finite arrival or deadline are rejected
-//! at ingest — a NaN arrival used to panic the arrival sort.
+//! [`ServingRuntimeBuilder::fault_injector`]) take the same path.
+//! Malformed requests — non-finite arrival or deadline, empty prompt,
+//! zero output — are rejected at ingest.
 
 use crate::kvcache::{PagedKvCache, SeqId};
 use crate::request::{
@@ -121,12 +124,22 @@ pub trait ServingEngine {
     fn try_release(&mut self, id: SeqId) {
         let _ = catch_unwind(AssertUnwindSafe(|| self.release(id)));
     }
+
+    /// Seconds the serving clock advances for the engine call(s) made
+    /// since `started`; the runtime reads it once after each prefill
+    /// cohort and once after each decode step. The default is the
+    /// measured wall time. An engine that models its latency instead of
+    /// spending it ([`crate::scheduler::ModelledEngine`]) overrides
+    /// this with the modelled cost of those calls.
+    fn clock_advance(&mut self, started: Instant) -> f64 {
+        started.elapsed().as_secs_f64()
+    }
 }
 
 /// A [`Request`] paired with its actual prompt tokens.
 #[derive(Debug, Clone)]
 pub struct PromptRequest {
-    /// Scheduling metadata (shared with the simulation backend).
+    /// Scheduling metadata.
     pub meta: Request,
     /// Prompt token ids (length must equal `meta.prompt_len`).
     pub prompt: Vec<usize>,
@@ -167,6 +180,86 @@ impl Running {
     }
 }
 
+/// `swap_remove` every element `leaves` selects, scanning in index
+/// order, and hand them back in removal order.
+fn take_where<T>(v: &mut Vec<T>, leaves: impl Fn(&T) -> bool) -> Vec<T> {
+    let mut taken = Vec::new();
+    let mut i = 0;
+    while i < v.len() {
+        if leaves(&v[i]) {
+            taken.push(v.swap_remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    taken
+}
+
+/// One run's accumulator: the stats being built and the telemetry
+/// families they mirror into.
+struct Tally {
+    stats: RunStats,
+    metrics: Option<SchedMetrics>,
+}
+
+impl Tally {
+    /// Record that `req` left the system, mirroring the completion into
+    /// telemetry and onto the request's trace track. Requests that
+    /// never ran pass the same instant as `admitted_at` and
+    /// `finished_at`.
+    fn complete(
+        &mut self,
+        req: &Request,
+        status: CompletionStatus,
+        admitted_at: f64,
+        finished_at: f64,
+        generated: u64,
+    ) {
+        let c = Completion {
+            id: req.id,
+            admitted_at,
+            finished_at,
+            arrival: req.arrival,
+            status,
+            generated,
+            priority: req.priority,
+        };
+        lq_trace::record_virtual(
+            lq_trace::EventKind::ReqComplete,
+            lq_trace::Track::Request(c.id),
+            vns(c.finished_at),
+            match c.status {
+                CompletionStatus::Finished => 0,
+                CompletionStatus::TimedOut => 1,
+                CompletionStatus::Rejected => 2,
+                CompletionStatus::Failed => 3,
+            },
+            c.generated,
+        );
+        if let Some(m) = &self.metrics {
+            match c.status {
+                CompletionStatus::Finished => {
+                    m.completed.inc();
+                    m.request_latency_ns.record_secs(c.latency());
+                    m.queue_delay_ns.record_secs(c.queue_delay());
+                }
+                CompletionStatus::TimedOut => m.timed_out.inc(),
+                CompletionStatus::Rejected => m.rejected.inc(),
+                CompletionStatus::Failed => m.failed.inc(),
+            }
+        }
+        self.stats.completions.push(c);
+    }
+
+    /// Move a preempted or evacuated sequence's tokens out of the
+    /// goodput ledger: it restarts from prefill, so they are discarded
+    /// work.
+    fn discard(&mut self, produced: usize) {
+        self.stats.preempted_tokens += produced as u64;
+        self.stats.generated_tokens -= produced as u64;
+    }
+}
+
 /// Result of [`ServingRuntime::run_with_halt`]: the completions of the
 /// run plus whatever was still in flight when the halt tripped.
 #[derive(Debug)]
@@ -182,7 +275,8 @@ pub struct DrainedRun {
     pub halted: bool,
 }
 
-/// Executable continuous-batching runtime over a [`ServingEngine`].
+/// Continuous-batching runtime over a [`ServingEngine`] — the one
+/// serving loop in the workspace.
 ///
 /// Owns the admission-control page table: a request is admitted only
 /// when its full `prompt + output` reservation fits — conservatively
@@ -210,22 +304,6 @@ impl ServingRuntime {
         }
     }
 
-    /// Like [`Self::new`], but with a [`FaultInjector`] wired into the
-    /// admission page table: scheduled `kv_denials` make `add_sequence`
-    /// / `append_token` fail artificially, exercising the
-    /// [`CompletionStatus::Failed`] path. With a quiet plan (or via
-    /// [`Self::new`]) the hook is a `None` branch.
-    #[must_use]
-    pub fn with_fault_injector(
-        cfg: SchedulerConfig,
-        kv_budget_tokens: usize,
-        inj: Arc<FaultInjector>,
-    ) -> Self {
-        let mut rt = Self::new(cfg, kv_budget_tokens);
-        rt.kv.set_fault_injector(inj);
-        rt
-    }
-
     /// Start building a validated runtime (mirrors
     /// `LiquidGemm::builder()`): scheduler knobs, KV budget, replica
     /// label, and fault injector in one fluent chain.
@@ -247,46 +325,52 @@ impl ServingRuntime {
         self.replica
     }
 
-    /// Record one completion, mirroring it into telemetry and onto the
-    /// request's trace track.
-    fn complete(stats: &mut RunStats, metrics: &Option<SchedMetrics>, c: Completion) {
-        lq_trace::record_virtual(
-            lq_trace::EventKind::ReqComplete,
-            lq_trace::Track::Request(c.id),
-            vns(c.finished_at),
-            match c.status {
-                CompletionStatus::Finished => 0,
-                CompletionStatus::TimedOut => 1,
-                CompletionStatus::Rejected => 2,
-                CompletionStatus::Failed => 3,
-            },
-            c.generated,
-        );
-        if let Some(m) = metrics {
-            match c.status {
-                CompletionStatus::Finished => {
-                    m.completed.inc();
-                    m.request_latency_ns.record_secs(c.latency());
-                    m.queue_delay_ns.record_secs(c.queue_delay());
-                }
-                CompletionStatus::TimedOut => m.timed_out.inc(),
-                CompletionStatus::Rejected => m.rejected.inc(),
-                CompletionStatus::Failed => m.failed.inc(),
-            }
+    /// Give back everything sequence `id` holds — engine state and
+    /// admission pages — and mark it on the request's trace track.
+    /// `suspect` says the engine's state for `id` is unknown (a call on
+    /// it panicked, or the replica is dead), so the engine side goes
+    /// through the unwind-contained wrapper.
+    fn release<E: ServingEngine>(&mut self, engine: &mut E, id: SeqId, now: f64, suspect: bool) {
+        if suspect {
+            engine.try_release(id);
+        } else {
+            engine.release(id);
         }
-        stats.completions.push(c);
+        self.kv.free_sequence(id).expect("was admitted");
+        lq_trace::record_virtual(
+            lq_trace::EventKind::KvRelease,
+            lq_trace::Track::Request(id),
+            vns(now),
+            0,
+            0,
+        );
+    }
+
+    /// Take `r` off the device for good: release it and complete it as
+    /// `status` with the tokens it produced so far.
+    fn retire<E: ServingEngine>(
+        &mut self,
+        engine: &mut E,
+        tally: &mut Tally,
+        r: Running,
+        status: CompletionStatus,
+        now: f64,
+    ) {
+        self.release(engine, r.id(), now, status == CompletionStatus::Failed);
+        tally.complete(&r.req.meta, status, r.admitted_at, now, r.produced as u64);
     }
 
     /// Run the serving loop to completion over `requests` (any arrival
-    /// order), driving `engine` with real batched forward passes.
+    /// order), driving `engine` with batched forward passes.
     ///
     /// Every request completes exactly once — as `Finished`, `TimedOut`
     /// (deadline expired; pages released on eviction), `Rejected`
     /// (queue occupancy over the request's tier cap at arrival, a
-    /// reservation that could never fit the KV budget, or malformed
-    /// non-finite timing), or `Failed` (engine panic or denied KV
-    /// allocation mid-flight; pages fully released). After the run all
-    /// pages are back on the free list.
+    /// reservation that could never fit the KV budget, or a malformed
+    /// request: non-finite timing, empty prompt, zero output), or
+    /// `Failed` (engine panic or denied KV allocation mid-flight; pages
+    /// fully released). After the run all pages are back on the free
+    /// list.
     ///
     /// Admission scans tiers strictly High→Low (FCFS within a tier);
     /// under [`PreemptionPolicy::PriorityKv`] a blocked reservation may
@@ -316,39 +400,33 @@ impl ServingRuntime {
         requests: Vec<PromptRequest>,
         halt: &mut dyn FnMut(u64) -> bool,
     ) -> DrainedRun {
-        let metrics = SchedMetrics::resolve_for(self.replica);
-        let mut stats = RunStats::empty();
+        let mut tally = Tally {
+            stats: RunStats::empty(),
+            metrics: SchedMetrics::resolve_for(self.replica),
+        };
 
-        // Validate timing at ingest: a NaN arrival must not reach the
-        // sort below (`partial_cmp(...).expect` here used to panic the
-        // whole run), and a NaN deadline would silently never expire.
+        // Validate at ingest what `Request`'s public fields let a
+        // caller bypass the constructors on: a NaN arrival must not
+        // reach the sort below, a NaN deadline would silently never
+        // expire, and an empty prompt or a zero-token output has no
+        // prefill to run (the first token comes from prefill, so a
+        // zero-output request would finish having generated one).
         let mut arrivals: Vec<PromptRequest> = Vec::with_capacity(requests.len());
         for req in requests {
-            let bad_arrival = !req.meta.arrival.is_finite();
-            let bad_deadline = req.meta.deadline.is_some_and(|d| !d.is_finite());
-            if bad_arrival || bad_deadline {
-                // Timestamps are zeroed so NaN cannot leak into
-                // latency statistics either.
+            let m = &req.meta;
+            let bad_timing = !m.arrival.is_finite() || m.deadline.is_some_and(|d| !d.is_finite());
+            if bad_timing || m.prompt_len == 0 || m.output_len == 0 {
                 lq_trace::record_virtual(
                     lq_trace::EventKind::ReqIngest,
-                    lq_trace::Track::Request(req.meta.id),
+                    lq_trace::Track::Request(m.id),
                     0,
-                    req.meta.prompt_len as u64,
-                    req.meta.output_len as u64,
+                    m.prompt_len as u64,
+                    m.output_len as u64,
                 );
-                Self::complete(
-                    &mut stats,
-                    &metrics,
-                    Completion {
-                        id: req.meta.id,
-                        admitted_at: 0.0,
-                        finished_at: 0.0,
-                        arrival: 0.0,
-                        status: CompletionStatus::Rejected,
-                        generated: 0,
-                        priority: req.meta.priority,
-                    },
-                );
+                // Timestamps are zeroed so NaN cannot leak into
+                // latency statistics either.
+                let zeroed = Request { arrival: 0.0, ..*m };
+                tally.complete(&zeroed, CompletionStatus::Rejected, 0.0, 0.0, 0);
             } else {
                 arrivals.push(req);
             }
@@ -369,7 +447,7 @@ impl ServingRuntime {
             // Halt gate (whole-replica failure under the router): the
             // predicate sees the decode-step count so chaos plans can
             // kill a replica at an exact step.
-            if halt(stats.decode_steps) {
+            if halt(tally.stats.decode_steps) {
                 halted = true;
                 break;
             }
@@ -391,19 +469,8 @@ impl ServingRuntime {
                 let impossible = self.kv.pages_for(need) > self.kv.total_pages();
                 let tier = req.meta.priority;
                 if impossible || pending_total(&pending) >= self.cfg.queue_cap(tier) {
-                    Self::complete(
-                        &mut stats,
-                        &metrics,
-                        Completion {
-                            id: req.meta.id,
-                            admitted_at: req.meta.arrival,
-                            finished_at: req.meta.arrival,
-                            arrival: req.meta.arrival,
-                            status: CompletionStatus::Rejected,
-                            generated: 0,
-                            priority: tier,
-                        },
-                    );
+                    let at = req.meta.arrival;
+                    tally.complete(&req.meta, CompletionStatus::Rejected, at, at, 0);
                 } else {
                     pending[tier.index()].push_back(req);
                 }
@@ -414,19 +481,7 @@ impl ServingRuntime {
                 q.retain(|req| {
                     let expired = req.meta.expiry().is_some_and(|e| now > e);
                     if expired {
-                        Self::complete(
-                            &mut stats,
-                            &metrics,
-                            Completion {
-                                id: req.meta.id,
-                                admitted_at: now,
-                                finished_at: now,
-                                arrival: req.meta.arrival,
-                                status: CompletionStatus::TimedOut,
-                                generated: 0,
-                                priority: req.meta.priority,
-                            },
-                        );
+                        tally.complete(&req.meta, CompletionStatus::TimedOut, now, now, 0);
                     }
                     !expired
                 });
@@ -504,35 +559,19 @@ impl ServingRuntime {
                                     .position(|r| r.id() == vid)
                                     .expect("victim is running");
                                 let v = running.swap_remove(pos);
-                                engine.release(vid);
-                                self.kv.free_sequence(vid).expect("was admitted");
-                                if lq_trace::enabled() {
-                                    let t = lq_trace::Track::Request(vid);
-                                    lq_trace::record_virtual(
-                                        lq_trace::EventKind::ReqPreempt,
-                                        t,
-                                        vns(now),
-                                        v.produced as u64,
-                                        head_id,
-                                    );
-                                    lq_trace::record_virtual(
-                                        lq_trace::EventKind::KvRelease,
-                                        t,
-                                        vns(now),
-                                        0,
-                                        0,
-                                    );
-                                }
-                                if let Some(m) = &metrics {
+                                lq_trace::record_virtual(
+                                    lq_trace::EventKind::ReqPreempt,
+                                    lq_trace::Track::Request(vid),
+                                    vns(now),
+                                    v.produced as u64,
+                                    head_id,
+                                );
+                                self.release(engine, vid, now, false);
+                                if let Some(m) = &tally.metrics {
                                     m.preemptions.inc();
                                 }
-                                stats.preemptions += 1;
-                                // The victim's generated-so-far tokens
-                                // are discarded work: it restarts from
-                                // prefill, so move them out of the
-                                // goodput ledger.
-                                stats.preempted_tokens += v.produced as u64;
-                                stats.generated_tokens -= v.produced as u64;
+                                tally.stats.preemptions += 1;
+                                tally.discard(v.produced);
                                 // Front of its own tier's queue: the
                                 // victim re-admits ahead of its peers,
                                 // original arrival preserved.
@@ -541,33 +580,20 @@ impl ServingRuntime {
                             }
                         }
                         if !(preempted && self.kv.can_reserve(need)) {
-                            if let Some(m) = &metrics {
+                            if let Some(m) = &tally.metrics {
                                 m.blocked.inc();
                             }
                             break 'admission; // strict priority: no bypass
                         }
                     }
+                    let req = pending[tier.index()].pop_front().expect("front exists");
                     if self.kv.add_sequence(head_id, need).is_err() {
                         // `can_reserve` just passed, so this is a denied
                         // allocation (fault injection): fail the request
                         // cleanly and keep admitting the rest.
-                        let req = pending[tier.index()].pop_front().expect("front exists");
-                        Self::complete(
-                            &mut stats,
-                            &metrics,
-                            Completion {
-                                id: req.meta.id,
-                                admitted_at: now,
-                                finished_at: now,
-                                arrival: req.meta.arrival,
-                                status: CompletionStatus::Failed,
-                                generated: 0,
-                                priority: req.meta.priority,
-                            },
-                        );
+                        tally.complete(&req.meta, CompletionStatus::Failed, now, now, 0);
                         continue;
                     }
-                    let req = pending[tier.index()].pop_front().expect("front exists");
                     if lq_trace::enabled() {
                         let t = lq_trace::Track::Request(req.meta.id);
                         lq_trace::record_virtual(
@@ -621,42 +647,22 @@ impl ServingRuntime {
                     match res {
                         Ok(tok) => prefilled.push((req, tok)),
                         Err(_) => {
-                            engine.try_release(req.meta.id);
-                            self.kv.free_sequence(req.meta.id).expect("was admitted");
-                            lq_trace::record_virtual(
-                                lq_trace::EventKind::KvRelease,
-                                lq_trace::Track::Request(req.meta.id),
-                                vns(now),
-                                0,
-                                0,
-                            );
+                            self.release(engine, req.meta.id, now, true);
                             failed.push(req);
                         }
                     }
                 }
-                let dt = t0.elapsed().as_secs_f64();
+                let dt = engine.clock_advance(t0);
                 now += dt;
-                if let Some(m) = &metrics {
+                if let Some(m) = &tally.metrics {
                     m.admitted.add(n_admitted as u64);
                     m.prefill_ns.record_secs(dt);
                     m.queue_len.set(pending_total(&pending) as f64);
                 }
                 for req in failed {
-                    Self::complete(
-                        &mut stats,
-                        &metrics,
-                        Completion {
-                            id: req.meta.id,
-                            admitted_at: admit_time,
-                            finished_at: now,
-                            arrival: req.meta.arrival,
-                            status: CompletionStatus::Failed,
-                            generated: 0,
-                            priority: req.meta.priority,
-                        },
-                    );
+                    tally.complete(&req.meta, CompletionStatus::Failed, admit_time, now, 0);
                 }
-                stats.generated_tokens += prefilled.len() as u64;
+                tally.stats.generated_tokens += prefilled.len() as u64;
                 for (req, tok) in prefilled {
                     running.push(Running {
                         req,
@@ -666,72 +672,20 @@ impl ServingRuntime {
                     });
                 }
             }
-            stats.peak_batch = stats.peak_batch.max(running.len());
+            tally.stats.peak_batch = tally.stats.peak_batch.max(running.len());
 
             // 2. Evict running sequences past their deadline, releasing
             //    engine and admission pages before the next iteration.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].req.meta.expiry().is_some_and(|e| now > e) {
-                    let r = running.swap_remove(i);
-                    engine.release(r.id());
-                    self.kv.free_sequence(r.id()).expect("was admitted");
-                    lq_trace::record_virtual(
-                        lq_trace::EventKind::KvRelease,
-                        lq_trace::Track::Request(r.id()),
-                        vns(now),
-                        0,
-                        0,
-                    );
-                    Self::complete(
-                        &mut stats,
-                        &metrics,
-                        Completion {
-                            id: r.id(),
-                            admitted_at: r.admitted_at,
-                            finished_at: now,
-                            arrival: r.req.meta.arrival,
-                            status: CompletionStatus::TimedOut,
-                            generated: r.produced as u64,
-                            priority: r.req.meta.priority,
-                        },
-                    );
-                } else {
-                    i += 1;
-                }
+            for r in take_where(&mut running, |r| {
+                r.req.meta.expiry().is_some_and(|e| now > e)
+            }) {
+                self.retire(engine, &mut tally, r, CompletionStatus::TimedOut, now);
             }
 
             // 2b. Retire sequences that finished at prefill
             //     (output_len == 1) or in the previous iteration.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].produced >= running[i].req.meta.output_len {
-                    let r = running.swap_remove(i);
-                    engine.release(r.id());
-                    self.kv.free_sequence(r.id()).expect("was admitted");
-                    lq_trace::record_virtual(
-                        lq_trace::EventKind::KvRelease,
-                        lq_trace::Track::Request(r.id()),
-                        vns(now),
-                        0,
-                        0,
-                    );
-                    Self::complete(
-                        &mut stats,
-                        &metrics,
-                        Completion {
-                            id: r.id(),
-                            admitted_at: r.admitted_at,
-                            finished_at: now,
-                            arrival: r.req.meta.arrival,
-                            status: CompletionStatus::Finished,
-                            generated: r.req.meta.output_len as u64,
-                            priority: r.req.meta.priority,
-                        },
-                    );
-                } else {
-                    i += 1;
-                }
+            for r in take_where(&mut running, |r| r.produced >= r.req.meta.output_len) {
+                self.retire(engine, &mut tally, r, CompletionStatus::Finished, now);
             }
 
             if running.is_empty() {
@@ -750,7 +704,7 @@ impl ServingRuntime {
                 }
             }
 
-            // 3. One real decode iteration: all running sequences in a
+            // 3. One decode iteration: all running sequences in a
             //    single M=batch forward pass.
             let slots: Vec<(SeqId, usize)> =
                 running.iter().map(|r| (r.id(), r.last_token)).collect();
@@ -766,7 +720,7 @@ impl ServingRuntime {
             let _corr = (step_corr != 0).then(|| lq_trace::corr_scope(step_corr));
             let t0 = Instant::now();
             let res = engine.try_decode_batch(&slots);
-            let dt = t0.elapsed().as_secs_f64();
+            let dt = engine.clock_advance(t0);
             // The span duration must be the *virtual-clock* advance of
             // this step, not a fresh `Instant` measurement: the
             // per-request critical-path decomposition
@@ -794,12 +748,12 @@ impl ServingRuntime {
             match res {
                 Ok(next) => {
                     assert_eq!(next.len(), slots.len(), "engine returned wrong batch");
-                    if let Some(m) = &metrics {
+                    if let Some(m) = &tally.metrics {
                         m.batch_size.record(running.len() as u64);
                         m.decode_step_ns.record_secs(dt);
                     }
-                    stats.decode_steps += 1;
-                    stats.generated_tokens += running.len() as u64;
+                    tally.stats.decode_steps += 1;
+                    tally.stats.generated_tokens += running.len() as u64;
                     for (r, tok) in running.iter_mut().zip(next) {
                         r.last_token = tok;
                         r.produced += 1;
@@ -811,28 +765,7 @@ impl ServingRuntime {
                     // batch with full release and keep serving what is
                     // still queued.
                     for r in running.drain(..) {
-                        engine.try_release(r.id());
-                        self.kv.free_sequence(r.id()).expect("was admitted");
-                        lq_trace::record_virtual(
-                            lq_trace::EventKind::KvRelease,
-                            lq_trace::Track::Request(r.id()),
-                            vns(now),
-                            0,
-                            0,
-                        );
-                        Self::complete(
-                            &mut stats,
-                            &metrics,
-                            Completion {
-                                id: r.id(),
-                                admitted_at: r.admitted_at,
-                                finished_at: now,
-                                arrival: r.req.meta.arrival,
-                                status: CompletionStatus::Failed,
-                                generated: r.produced as u64,
-                                priority: r.req.meta.priority,
-                            },
-                        );
+                        self.retire(engine, &mut tally, r, CompletionStatus::Failed, now);
                     }
                 }
             }
@@ -842,22 +775,12 @@ impl ServingRuntime {
         if halted {
             // Whole-replica failure: release every running sequence
             // (tokens produced so far are discarded — the router
-            // restarts the request elsewhere from prefill) and hand
-            // back everything queued or yet to arrive.
+            // restarts the request elsewhere from prefill; the replica
+            // is "dead", so its engine state is suspect) and hand back
+            // everything queued or yet to arrive.
             for r in running.drain(..) {
-                // The replica is "dead": its engine state is suspect,
-                // so release through the unwind-contained wrapper.
-                engine.try_release(r.id());
-                self.kv.free_sequence(r.id()).expect("was admitted");
-                lq_trace::record_virtual(
-                    lq_trace::EventKind::KvRelease,
-                    lq_trace::Track::Request(r.id()),
-                    vns(now),
-                    0,
-                    0,
-                );
-                stats.preempted_tokens += r.produced as u64;
-                stats.generated_tokens -= r.produced as u64;
+                self.release(engine, r.id(), now, true);
+                tally.discard(r.produced);
                 evacuated.push(r.req);
             }
             for q in pending.iter_mut() {
@@ -867,6 +790,7 @@ impl ServingRuntime {
             evacuated.extend(arrivals);
         }
 
+        let Tally { mut stats, metrics } = tally;
         stats.makespan = now;
         if let Some(m) = &metrics {
             m.tokens_per_s.set(stats.throughput());
@@ -1288,13 +1212,25 @@ mod tests {
         let mut inf_arrival = PromptRequest::new(Request::new(8, 8, 4, 0.0), (0..8).collect());
         inf_arrival.meta.arrival = f64::INFINITY;
         rs.push(inf_arrival);
+        // Zero lengths bypass `Request::new`'s asserts the same way; a
+        // zero-output request must not reach prefill, which would count
+        // a token for it.
+        let mut no_output = PromptRequest::new(Request::new(9, 8, 4, 0.0), (0..8).collect());
+        no_output.meta.output_len = 0;
+        rs.push(no_output);
+        let mut no_prompt = PromptRequest::new(Request::new(10, 8, 4, 0.0), (0..8).collect());
+        no_prompt.meta.prompt_len = 0;
+        no_prompt.prompt.clear();
+        rs.push(no_prompt);
         let stats = rt.run(&mut engine, rs);
         assert_eq!(
             stats.rejected(),
-            3,
-            "NaN arrival, NaN deadline, inf arrival"
+            5,
+            "NaN arrival, NaN deadline, inf arrival, zero output, empty prompt"
         );
         assert_eq!(stats.finished(), 1);
+        assert_eq!(stats.generated_tokens, 4, "token ledger counts only id 1");
+        assert_eq!(engine.prefills, 1, "malformed requests never prefill");
         for c in &stats.completions {
             assert!(c.latency().is_finite(), "NaN leaked into latency");
         }
@@ -1352,8 +1288,11 @@ mod tests {
 
         let inj = Arc::new(FaultInjector::new(FaultPlan::quiet().kv_denials_at(&[0])));
         let mut engine = MockEngine::new();
-        let mut rt =
-            ServingRuntime::with_fault_injector(SchedulerConfig::default(), 4096, Arc::clone(&inj));
+        let mut rt = ServingRuntime::builder()
+            .kv_budget_tokens(4096)
+            .fault_injector(Arc::clone(&inj))
+            .build()
+            .unwrap();
         let stats = rt.run(&mut engine, reqs(4, 8, 4));
         assert_eq!(stats.failed(), 1, "first admission denied");
         assert_eq!(stats.finished(), 3);

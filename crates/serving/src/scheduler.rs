@@ -1,76 +1,109 @@
-//! Continuous-batching request scheduler (Orca-style iteration-level
-//! scheduling over the paged KV cache) — the *simulation* backend of
-//! the shared serving API in [`crate::request`].
+//! The simulated serving run: the serving loop of
+//! [`crate::runtime::ServingRuntime`] driven by a [`ModelledEngine`]
+//! that prices each call with the H800 cost model instead of executing
+//! it.
 //!
 //! The closed-form search in [`crate::throughput`] answers "what is the
-//! best steady-state batch"; this module *runs* the serving loop: a
-//! request queue with arrival times, admission control against the
-//! paged allocator (a request is admitted only when its full
-//! prompt+output KV reservation fits, so no preemption is ever needed),
-//! batched prefill on admission, and per-iteration decode in which every
-//! running sequence advances one token and finished sequences release
-//! their pages immediately — the mechanism that lets a new request slip
-//! into the very next iteration.
-//!
-//! Time advances by the modelled cost of each phase (prefill /
-//! decode step) from [`crate::decode`], so the simulation produces
-//! request latencies and sustained throughput for any arrival pattern,
-//! not just the saturated regime of Table 1. The executable twin of
-//! this loop — real batched GEMMs on the persistent pool, measured time
-//! — is [`crate::runtime::ServingRuntime`]; both consume the same
-//! [`Request`] workloads and produce the same [`RunStats`].
+//! best steady-state batch"; [`run_schedule`] *runs* the loop — a
+//! request queue with arrival times, admission against the paged
+//! allocator, batched prefill, per-iteration decode, deadline eviction,
+//! priority tiers and preemption — and so produces request latencies
+//! and sustained throughput for any arrival pattern, not just the
+//! saturated regime of Table 1. It is the same loop the live benches
+//! run over `lq_engine::TinyLlm`; the only difference is the engine,
+//! and with it whether the clock advances by modelled or measured time
+//! ([`ServingEngine::clock_advance`]).
 
 use crate::decode::{decode_step, prefill_time};
-use crate::kvcache::PagedKvCache;
+use crate::kvcache::SeqId;
+use crate::runtime::{PromptRequest, ServingEngine, ServingRuntime};
 use crate::system::ServingSystem;
-use crate::telemetry::SchedMetrics;
+use crate::throughput::RESERVE_BYTES;
 use lq_models::ModelConfig;
 use lq_sim::specs::GpuSpec;
-use std::collections::VecDeque;
+use std::collections::HashMap;
+use std::time::Instant;
 
 pub use crate::request::{
     Completion, CompletionStatus, Request, RunStats, SchedulerConfig, SchedulerConfigBuilder,
     SchedulerConfigError,
 };
 
-struct Running {
-    id: u64,
-    admitted_at: f64,
-    arrival: f64,
-    remaining: usize,
-    output_len: usize,
-    ctx: usize,
-    expiry: Option<f64>,
-    priority: crate::request::Priority,
+/// A [`ServingEngine`] that computes nothing: it tracks each sequence's
+/// context length and charges the serving clock the modelled cost of
+/// every call ([`crate::decode`]) — a prefill cohort of `n` prompts as
+/// `prefill_time(n, longest prompt)`, a decode step as
+/// `decode_step(batch, mean context)`. Every token it returns is 0.
+pub struct ModelledEngine<'a> {
+    sys: &'a ServingSystem,
+    spec: &'a GpuSpec,
+    cfg: &'a ModelConfig,
+    /// Context length of every live sequence.
+    ctx: HashMap<SeqId, usize>,
+    /// Prompts prefilled since the last clock read: count and longest.
+    cohort: (usize, usize),
+    /// Modelled decode seconds since the last clock read.
+    decode_s: f64,
 }
 
-/// Record one completion, mirroring it into telemetry.
-fn complete(stats: &mut RunStats, metrics: &Option<SchedMetrics>, c: Completion) {
-    if let Some(m) = metrics {
-        match c.status {
-            CompletionStatus::Finished => {
-                m.completed.inc();
-                m.request_latency_ns.record_secs(c.latency());
-                m.queue_delay_ns.record_secs(c.queue_delay());
-            }
-            CompletionStatus::TimedOut => m.timed_out.inc(),
-            CompletionStatus::Rejected => m.rejected.inc(),
-            // The simulation backend has no real engine to fail, but
-            // the shared completion path still mirrors the status.
-            CompletionStatus::Failed => m.failed.inc(),
+impl<'a> ModelledEngine<'a> {
+    /// An engine with no live sequences that models `cfg` served by
+    /// `sys` on `spec`.
+    #[must_use]
+    pub fn new(sys: &'a ServingSystem, spec: &'a GpuSpec, cfg: &'a ModelConfig) -> Self {
+        Self {
+            sys,
+            spec,
+            cfg,
+            ctx: HashMap::new(),
+            cohort: (0, 0),
+            decode_s: 0.0,
         }
     }
-    stats.completions.push(c);
 }
 
-/// Run the continuous-batching loop to completion over `requests`
-/// (any arrival order; they are processed FCFS by arrival time).
-///
-/// Requests with deadlines are evicted (pages released) once modelled
-/// time passes their expiry; with `sched.max_queue` bounded, requests
-/// arriving into a full queue complete as
-/// [`CompletionStatus::Rejected`], as do requests whose reservation can
-/// never fit the KV budget or whose arrival/deadline is non-finite.
+impl ServingEngine for ModelledEngine<'_> {
+    fn prefill(&mut self, id: SeqId, prompt: &[usize]) -> usize {
+        let fresh = self.ctx.insert(id, prompt.len()).is_none();
+        assert!(fresh, "sequence {id} already live");
+        self.cohort = (self.cohort.0 + 1, self.cohort.1.max(prompt.len()));
+        0
+    }
+
+    fn decode_batch(&mut self, slots: &[(SeqId, usize)]) -> Vec<usize> {
+        let mut total_ctx = 0;
+        for (id, _) in slots {
+            let ctx = self.ctx.get_mut(id).expect("decode of a live sequence");
+            total_ctx += *ctx;
+            *ctx += 1;
+        }
+        let mean_ctx = (total_ctx / slots.len()).max(1);
+        self.decode_s += decode_step(self.sys, self.spec, self.cfg, slots.len(), mean_ctx).total();
+        vec![0; slots.len()]
+    }
+
+    fn release(&mut self, id: SeqId) {
+        let live = self.ctx.remove(&id).is_some();
+        assert!(live, "release of unknown sequence {id}");
+    }
+
+    fn clock_advance(&mut self, _started: Instant) -> f64 {
+        let (n, longest) = std::mem::take(&mut self.cohort);
+        let prefill_s = if n == 0 {
+            0.0
+        } else {
+            prefill_time(self.sys, self.spec, self.cfg, n, longest)
+        };
+        prefill_s + std::mem::take(&mut self.decode_s)
+    }
+}
+
+/// Run the serving loop to completion over `requests` (any arrival
+/// order) in modelled time: [`ServingRuntime::run`] over a
+/// [`ModelledEngine`], with the admission table sized to the KV budget
+/// `spec`'s memory leaves after `sys`'s weights and the runtime
+/// reserve. Every policy in `sched` and every completion status
+/// therefore means exactly what it means on the live path.
 #[must_use]
 pub fn run_schedule(
     sys: &ServingSystem,
@@ -79,241 +112,21 @@ pub fn run_schedule(
     sched: SchedulerConfig,
     requests: &[Request],
 ) -> RunStats {
-    let metrics = SchedMetrics::resolve();
-    let mut stats = RunStats::empty();
-
-    // Validate timing at ingest: a NaN arrival must not reach the sort
-    // below (`partial_cmp(...).expect` here used to panic the whole
-    // run), and a NaN deadline would silently never expire. Timestamps
-    // are zeroed so NaN cannot leak into latency statistics either.
-    let mut arrivals: Vec<Request> = Vec::with_capacity(requests.len());
-    for req in requests {
-        if !req.arrival.is_finite() || req.deadline.is_some_and(|d| !d.is_finite()) {
-            complete(
-                &mut stats,
-                &metrics,
-                Completion {
-                    id: req.id,
-                    admitted_at: 0.0,
-                    finished_at: 0.0,
-                    arrival: 0.0,
-                    status: CompletionStatus::Rejected,
-                    generated: 0,
-                    priority: req.priority,
-                },
-            );
-        } else {
-            arrivals.push(*req);
-        }
-    }
-    arrivals.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-    arrivals.reverse(); // pop() takes the earliest
-
-    // KV budget = capacity − weights − reserve, managed by the real
-    // paged allocator.
-    let kv_budget =
-        (spec.mem_capacity as f64 - sys.weight_bytes(cfg) - crate::throughput::RESERVE_BYTES)
-            .max(0.0);
+    let kv_budget = (spec.mem_capacity as f64 - sys.weight_bytes(cfg) - RESERVE_BYTES).max(0.0);
     let bytes_per_token = cfg.kv_bytes_per_token(sys.attention.kv.bytes()).max(1.0) as usize;
-    let mut kv = PagedKvCache::new(kv_budget as u64, sched.page_tokens, bytes_per_token);
-
-    let mut now = 0.0f64;
-    let mut pending: VecDeque<Request> = VecDeque::new();
-    let mut running: Vec<Running> = Vec::new();
-
-    loop {
-        // 0. Move requests that have arrived into the waiting queue,
-        //    rejecting when the bounded queue is full or the request
-        //    could never fit the KV budget even alone.
-        while arrivals.last().is_some_and(|r| r.arrival <= now) {
-            let req = arrivals.pop().expect("checked non-empty");
-            let impossible = kv.pages_for(req.prompt_len + req.output_len) > kv.total_pages();
-            // The same per-tier occupancy caps as the executable
-            // backend (`SchedulerConfig::queue_cap`); under plain FCFS
-            // this is the single shared `max_queue`.
-            if impossible || pending.len() >= sched.queue_cap(req.priority) {
-                complete(
-                    &mut stats,
-                    &metrics,
-                    Completion {
-                        id: req.id,
-                        admitted_at: req.arrival,
-                        finished_at: req.arrival,
-                        arrival: req.arrival,
-                        status: CompletionStatus::Rejected,
-                        generated: 0,
-                        priority: req.priority,
-                    },
-                );
-            } else {
-                pending.push_back(req);
-            }
-        }
-
-        // 0b. Expire queued requests whose deadline already passed.
-        pending.retain(|req| {
-            let expired = req.expiry().is_some_and(|e| now > e);
-            if expired {
-                complete(
-                    &mut stats,
-                    &metrics,
-                    Completion {
-                        id: req.id,
-                        admitted_at: now,
-                        finished_at: now,
-                        arrival: req.arrival,
-                        status: CompletionStatus::TimedOut,
-                        generated: 0,
-                        priority: req.priority,
-                    },
-                );
-            }
-            !expired
-        });
-
-        // 1. Admit every waiting request whose full reservation fits
-        //    (conservative: prompt + output, so no preemption path is
-        //    needed).
-        let mut admitted: Vec<Request> = Vec::new();
-        while running.len() + admitted.len() < sched.max_batch {
-            let Some(req) = pending.front().copied() else {
-                break;
-            };
-            if !kv.can_reserve(req.prompt_len + req.output_len) {
-                if let Some(m) = &metrics {
-                    m.blocked.inc();
-                }
-                break; // FCFS head-of-line blocking, like vLLM's default
-            }
-            kv.add_sequence(req.id, req.prompt_len + req.output_len)
-                .expect("reservation checked");
-            pending.pop_front();
-            admitted.push(req);
-        }
-        if !admitted.is_empty() {
-            // Batched prefill for the newly admitted requests. Admission
-            // time is when prefill *starts* (queueing ends there).
-            let admit_time = now;
-            let max_prompt = admitted
-                .iter()
-                .map(|r| r.prompt_len)
-                .max()
-                .expect("non-empty");
-            let dt = prefill_time(sys, spec, cfg, admitted.len(), max_prompt);
-            now += dt;
-            if let Some(m) = &metrics {
-                m.admitted.add(admitted.len() as u64);
-                m.prefill_ns.record_secs(dt);
-                m.queue_len.set(pending.len() as f64);
-            }
-            for req in admitted {
-                running.push(Running {
-                    id: req.id,
-                    admitted_at: admit_time,
-                    arrival: req.arrival,
-                    remaining: req.output_len,
-                    output_len: req.output_len,
-                    ctx: req.prompt_len,
-                    expiry: req.expiry(),
-                    priority: req.priority,
-                });
-            }
-        }
-        stats.peak_batch = stats.peak_batch.max(running.len());
-
-        // 2. Evict running sequences whose deadline expired, releasing
-        //    their pages before the next iteration is scheduled.
-        let mut i = 0;
-        while i < running.len() {
-            if running[i].expiry.is_some_and(|e| now > e) {
-                let r = running.swap_remove(i);
-                kv.free_sequence(r.id).expect("was admitted");
-                complete(
-                    &mut stats,
-                    &metrics,
-                    Completion {
-                        id: r.id,
-                        admitted_at: r.admitted_at,
-                        finished_at: now,
-                        arrival: r.arrival,
-                        status: CompletionStatus::TimedOut,
-                        generated: (r.output_len - r.remaining) as u64,
-                        priority: r.priority,
-                    },
-                );
-            } else {
-                i += 1;
-            }
-        }
-
-        if running.is_empty() {
-            if !pending.is_empty() {
-                // Waiting requests with nothing running can only mean
-                // head-of-line blocking against sequences that no longer
-                // exist — impossible-fit requests were rejected above.
-                unreachable!("pending requests with an empty device");
-            }
-            // Idle: jump to the next arrival, or finish.
-            match arrivals.last() {
-                Some(req) => {
-                    now = now.max(req.arrival);
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        // 3. One decode iteration for the whole running batch.
-        let mean_ctx = (running.iter().map(|r| r.ctx).sum::<usize>() / running.len()).max(1);
-        let dt = decode_step(sys, spec, cfg, running.len(), mean_ctx).total();
-        now += dt;
-        if let Some(m) = &metrics {
-            m.batch_size.record(running.len() as u64);
-            m.decode_step_ns.record_secs(dt);
-        }
-        stats.decode_steps += 1;
-        stats.generated_tokens += running.len() as u64;
-        for r in &mut running {
-            r.ctx += 1;
-            r.remaining -= 1;
-        }
-
-        // 4. Retire finished sequences, freeing their pages immediately.
-        let mut i = 0;
-        while i < running.len() {
-            if running[i].remaining == 0 {
-                let r = running.swap_remove(i);
-                kv.free_sequence(r.id).expect("was admitted");
-                complete(
-                    &mut stats,
-                    &metrics,
-                    Completion {
-                        id: r.id,
-                        admitted_at: r.admitted_at,
-                        finished_at: now,
-                        arrival: r.arrival,
-                        status: CompletionStatus::Finished,
-                        generated: r.output_len as u64,
-                        priority: r.priority,
-                    },
-                );
-            } else {
-                i += 1;
-            }
-        }
-    }
-    stats.makespan = now;
-    if let Some(m) = &metrics {
-        m.tokens_per_s.set(stats.throughput());
-        m.queue_len.set(0.0);
-    }
-    assert!(kv.check_invariants(), "page conservation violated");
-    stats
+    let pages = kv_budget as usize / (sched.page_tokens * bytes_per_token);
+    let prompts = requests
+        .iter()
+        .map(|r| PromptRequest::new(*r, vec![0; r.prompt_len]))
+        .collect();
+    ServingRuntime::new(sched, pages * sched.page_tokens)
+        .run(&mut ModelledEngine::new(sys, spec, cfg), prompts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{PreemptionPolicy, Priority};
     use crate::system::{ServingSystem, SystemId};
     use crate::throughput::{peak_throughput, INPUT_LEN, OUTPUT_LEN};
     use lq_models::configs::LLAMA2_7B;
@@ -480,7 +293,7 @@ mod tests {
         assert_eq!(stats.completions.len(), 200);
         assert!(stats.timed_out() > 0, "expected timeouts");
         assert_eq!(stats.finished() + stats.timed_out(), 200);
-        // Page conservation is asserted inside run_schedule; here check
+        // Page conservation is asserted inside the runtime; here check
         // timed-out requests produced at most partial output.
         for c in &stats.completions {
             if c.status == CompletionStatus::TimedOut {
@@ -493,15 +306,55 @@ mod tests {
     fn nan_arrival_or_deadline_is_rejected_not_panicking() {
         // Regression: a NaN arrival used to blow up the ingest sort via
         // `partial_cmp(...).expect("finite")`.
-        let mut reqs = batch_arrivals(3);
+        let mut reqs = batch_arrivals(5);
         reqs[0].arrival = f64::NAN;
         reqs[1].deadline = Some(f64::NAN);
+        // Zero lengths bypass `Request::new` through the public fields
+        // the same way.
+        reqs[2].output_len = 0;
+        reqs[3].prompt_len = 0;
         let stats = run_schedule(&sys(), &H800, &LLAMA2_7B, SchedulerConfig::default(), &reqs);
-        assert_eq!(stats.rejected(), 2);
+        assert_eq!(stats.rejected(), 4);
         assert_eq!(stats.finished(), 1);
+        assert_eq!(stats.generated_tokens, OUTPUT_LEN as u64);
         for c in &stats.completions {
             assert!(c.latency().is_finite(), "NaN leaked into latency");
         }
+    }
+
+    #[test]
+    fn priority_kv_preempts_in_modelled_time() {
+        // A Low cohort big enough to fill the H800's KV budget at t=0,
+        // then High arrivals while it decodes. The modelled run goes
+        // through the same loop as the live one, so `PriorityKv` must
+        // evict Low sequences for them and High must see the shorter
+        // tail.
+        let peak = peak_throughput(&sys(), &H800, &LLAMA2_7B).expect("fits");
+        let mut reqs: Vec<Request> = batch_arrivals(2 * peak.batch)
+            .into_iter()
+            .map(|r| r.with_priority(Priority::Low))
+            .collect();
+        for i in 0..16u64 {
+            let late = Request::new(10_000 + i, INPUT_LEN, OUTPUT_LEN, 5.0 + i as f64);
+            reqs.push(late.with_priority(Priority::High));
+        }
+        let cfg = SchedulerConfig::builder()
+            .preemption(PreemptionPolicy::PriorityKv)
+            .build()
+            .unwrap();
+        let stats = run_schedule(&sys(), &H800, &LLAMA2_7B, cfg, &reqs);
+        assert_eq!(stats.finished(), reqs.len(), "victims re-queue and finish");
+        assert!(stats.preemptions > 0, "High must preempt the Low cohort");
+        let (high, low) = (
+            stats.tier_latency_percentile(Priority::High, 99.0),
+            stats.tier_latency_percentile(Priority::Low, 99.0),
+        );
+        assert!(high < low, "High p99 {high} vs Low p99 {low}");
+        let sum: u64 = stats.completions.iter().map(|c| c.generated).sum();
+        assert_eq!(
+            sum, stats.generated_tokens,
+            "preempted work leaves the ledger"
+        );
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! Serving-loop telemetry: the metric families recorded by the
-//! continuous-batching scheduler and the paged KV allocator.
+//! serving loop ([`crate::runtime::ServingRuntime`], whichever engine
+//! drives it) and the paged KV allocator.
 //!
 //! Handles resolve from the global [`lq_telemetry`] registry only when
 //! recording is enabled; disabled, every instrumentation site is a
-//! relaxed load (scheduler) or a `None` branch (allocator).
+//! relaxed load (serving loop) or a `None` branch (allocator). Times
+//! are serving-clock seconds — measured under a real engine, modelled
+//! under [`crate::scheduler::ModelledEngine`].
 //!
 //! Exported families:
 //!
 //! | metric | kind | meaning |
 //! |--------|------|---------|
 //! | `lq_serving_batch_size` | histogram | running batch at each decode iteration |
-//! | `lq_serving_decode_step_ns` | histogram | modelled decode-iteration latency |
-//! | `lq_serving_prefill_ns` | histogram | modelled batched-prefill latency |
+//! | `lq_serving_decode_step_ns` | histogram | decode-iteration latency |
+//! | `lq_serving_prefill_ns` | histogram | prefill-cohort latency |
 //! | `lq_serving_admitted_total` | counter | requests admitted |
 //! | `lq_serving_admission_blocked_total` | counter | admission attempts rejected (KV reservation did not fit) |
 //! | `lq_serving_preemptions_total` | counter | running sequences preempted under [`crate::PreemptionPolicy::PriorityKv`] (KV fully released, victim re-queued); stays 0 under `Never` — conservative admission reserves prompt+output up front |
 //! | `lq_serving_completed_total` | counter | requests finished normally |
 //! | `lq_serving_timed_out_total` | counter | requests evicted past their deadline (pages released) |
-//! | `lq_serving_rejected_total` | counter | requests rejected at arrival (queue full, reservation can never fit, or malformed non-finite timing) |
+//! | `lq_serving_rejected_total` | counter | requests rejected at arrival (queue full, reservation can never fit, or malformed: non-finite timing, empty prompt, zero output) |
 //! | `lq_serving_failed_total` | counter | requests killed by an unrecoverable engine/allocation error (KV pages fully released) |
 //! | `lq_serving_request_latency_ns` | histogram | per-request arrival→finish latency (finished requests) |
 //! | `lq_serving_queue_delay_ns` | histogram | per-request arrival→admission delay (finished requests) |
@@ -38,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 
 use lq_telemetry::{registry, Counter, Gauge, Histogram};
 
-/// Handles for one scheduling run (resolved at `run_schedule` entry).
+/// Handles for one serving run (resolved at `run_with_halt` entry).
 pub(crate) struct SchedMetrics {
     pub batch_size: Arc<Histogram>,
     pub decode_step_ns: Arc<Histogram>,
@@ -63,13 +66,9 @@ pub(crate) struct SchedMetrics {
 }
 
 impl SchedMetrics {
-    /// Resolve unlabelled handles, or `None` when telemetry is off.
-    pub(crate) fn resolve() -> Option<Self> {
-        Self::resolve_for(None)
-    }
-
     /// Resolve handles labelled `{replica="<n>"}` (router shards), or
-    /// the unlabelled process-wide families when `replica` is `None`.
+    /// the unlabelled process-wide families when `replica` is `None`;
+    /// `None` when telemetry is off.
     pub(crate) fn resolve_for(replica: Option<u32>) -> Option<Self> {
         if !lq_telemetry::enabled() {
             return None;

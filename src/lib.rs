@@ -89,10 +89,10 @@ pub use lq_trace as trace;
 /// persistent GEMM runtime ([`LiquidGemm`] + [`KernelKind`] +
 /// [`W4A8Weights`]), the pluggable dequant-backend registry
 /// ([`BackendId`] / [`KernelBackend`] / [`registry`] / [`resolve`]),
-/// the executable model ([`TinyLlm`]), the serving API shared by
-/// the simulated and executable schedulers ([`Request`] /
-/// [`Completion`] / [`RunStats`] / [`SchedulerConfig`],
-/// [`run_schedule`], [`ServingRuntime`] and its builder), and the
+/// the executable model ([`TinyLlm`]), the serving loop and its API
+/// ([`Request`] / [`Completion`] / [`RunStats`] / [`SchedulerConfig`],
+/// [`ServingRuntime`] and its builder, and [`run_schedule`], the same
+/// loop over the cost-model [`ModelledEngine`]), and the
 /// multi-replica router ([`ServingRouter`], [`TraceConfig`]).
 pub mod prelude {
     pub use lq_chaos::{FaultAction, FaultInjector, FaultPlan, FaultStats};
@@ -114,7 +114,7 @@ pub mod prelude {
         ServingRuntimeBuilder,
     };
     pub use lq_serving::{
-        run_schedule, AdmissionPolicy, Completion, CompletionStatus, PagedKvCache,
+        run_schedule, AdmissionPolicy, Completion, CompletionStatus, ModelledEngine, PagedKvCache,
         PreemptionPolicy, Priority, Request, RunStats, SchedulerConfig, SchedulerConfigError,
         ServingSystem, SystemId,
     };

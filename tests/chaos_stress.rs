@@ -94,11 +94,15 @@ impl ServingEngine for ChaosEngine {
 
 const MAX_QUEUE: usize = 8;
 
-fn sched_cfg(max_queue: usize) -> SchedulerConfig {
-    SchedulerConfig::builder()
+/// The suite's runtime: 1024 KV tokens, batch 4, `inj` wired into the
+/// admission page table.
+fn chaos_runtime(max_queue: usize, inj: &Arc<FaultInjector>) -> ServingRuntime {
+    ServingRuntime::builder()
         .max_batch(4)
         .page_tokens(16)
         .max_queue(max_queue)
+        .kv_budget_tokens(1024)
+        .fault_injector(Arc::clone(inj))
         .build()
         .unwrap()
 }
@@ -143,7 +147,7 @@ fn workload(seed: u64, n: u64, vocab: usize, deadlines: bool, burst: bool) -> Ve
 /// histories) and the run stats for differential checks.
 fn chaos_run(seed: u64, plan: FaultPlan) -> (ChaosEngine, RunStats) {
     let inj = Arc::new(FaultInjector::new(plan));
-    let mut rt = ServingRuntime::with_fault_injector(sched_cfg(MAX_QUEUE), 1024, Arc::clone(&inj));
+    let mut rt = chaos_runtime(MAX_QUEUE, &inj);
     let mut engine = ChaosEngine::new(Some(Arc::clone(&inj)));
     let requests = workload(seed, 24, 97, true, true);
     let n = requests.len();
@@ -226,7 +230,7 @@ fn survivors_are_bit_exact_with_fault_free_baseline() {
     for seed in 0..40u64 {
         let run = |plan: FaultPlan| -> (ChaosEngine, RunStats) {
             let inj = Arc::new(FaultInjector::new(plan));
-            let mut rt = ServingRuntime::with_fault_injector(sched_cfg(N), 1024, Arc::clone(&inj));
+            let mut rt = chaos_runtime(N, &inj);
             let mut engine = ChaosEngine::new(Some(inj));
             let stats = rt.run(&mut engine, workload(seed, N as u64, 97, false, false));
             assert_eq!(
@@ -334,8 +338,7 @@ fn full_stack_tinyllm_on_faulted_pool_drains_clean() {
         let mut model = TinyLlm::synthetic_with_engine(spec, 1024, KernelKind::ImFp, pool);
         let free0: Vec<usize> = model.kv.iter().map(|s| s.table.free_pages()).collect();
 
-        let mut rt =
-            ServingRuntime::with_fault_injector(sched_cfg(MAX_QUEUE), 1024, Arc::clone(&inj));
+        let mut rt = chaos_runtime(MAX_QUEUE, &inj);
         let requests = workload(seed, 16, spec.vocab, false, false);
         let n = requests.len();
         let stats = rt.run(&mut model, requests);

@@ -14,6 +14,7 @@
 
 use liquidgemm::prelude::*;
 use lq_rng::Rng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Queue capacity used by every stress run (referenced by the
@@ -227,23 +228,47 @@ fn stress_timeouts_and_rejections_actually_occur() {
 
 #[test]
 fn simulation_and_runtime_share_one_request_api() {
-    // The same Request workload (metadata only) must drive the
-    // simulation backend unchanged — the unified-API guarantee.
+    // One loop, two engines: the same deadline-free workload under the
+    // same `SchedulerConfig` must finish the same requests with the
+    // same token counts whether the clock is modelled (H800 cost model
+    // behind `run_schedule`) or measured (`TinyLlm`).
     let mut rng = Rng::new(7);
     let spec = ModelSpec::tiny();
-    let metas: Vec<Request> = workload(&mut rng, &spec, 60)
+    let requests: Vec<PromptRequest> = workload(&mut rng, &spec, 60)
         .into_iter()
-        .map(|p| p.meta)
+        .map(|mut p| {
+            p.meta.deadline = None;
+            p
+        })
         .collect();
+    let metas: Vec<Request> = requests.iter().map(|p| p.meta).collect();
     let n = metas.len();
-    let sys = ServingSystem::of(SystemId::LiquidServe);
-    let stats = run_schedule(
-        &sys,
+    let cfg = SchedulerConfig::builder()
+        .max_batch(6)
+        .page_tokens(16)
+        .build()
+        .unwrap();
+
+    let modelled = run_schedule(
+        &ServingSystem::of(SystemId::LiquidServe),
         &liquidgemm::sim::specs::H800,
         &liquidgemm::models::configs::LLAMA2_7B,
-        SchedulerConfig::default(),
+        cfg,
         &metas,
     );
-    assert_eq!(stats.completions.len(), n);
-    assert_eq!(stats.finished() + stats.timed_out() + stats.rejected(), n);
+    let pool = Arc::new(LiquidGemm::builder().workers(2).build().unwrap());
+    let mut model = TinyLlm::synthetic_with_engine(spec, 1024, KernelKind::ImFp, pool);
+    let measured = ServingRuntime::new(cfg, 1024).run(&mut model, requests);
+
+    let generated = |stats: &RunStats| -> BTreeMap<u64, u64> {
+        stats
+            .completions
+            .iter()
+            .filter(|c| c.status == CompletionStatus::Finished)
+            .map(|c| (c.id, c.generated))
+            .collect()
+    };
+    assert_eq!(modelled.finished(), n, "nothing to shed without deadlines");
+    assert_eq!(generated(&modelled), generated(&measured));
+    assert_eq!(modelled.generated_tokens, measured.generated_tokens);
 }
