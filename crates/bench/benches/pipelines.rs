@@ -31,7 +31,6 @@ fn main() {
     let lg = LiquidGemm::builder()
         .workers(workers)
         .task_rows(16)
-        .stages(2 * workers)
         .build()
         .expect("valid config");
 

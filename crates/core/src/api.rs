@@ -20,12 +20,18 @@ pub use crate::pipeline::ParallelConfig;
 pub enum KernelKind {
     /// Single-threaded, no pipeline (ablation baseline).
     Serial,
-    /// Data-parallel workers, no load/compute specialisation.
+    /// Data-parallel workers, one fused dequant+MMA job per tile. On
+    /// this CPU that is exactly what [`KernelKind::ImFp`] runs — tile
+    /// jobs read the shared weights in place, so there is no Load stage
+    /// left for the two to differ in — and the name stays only because
+    /// callers select it: the row-parallel shard path (its `flat_raw`
+    /// telemetry series) and the ledger's `core.flat_layer_ms_*` probes.
     FlatParallel,
     /// Explicit coarse-grained pipeline: Load / Dequant / MMA roles.
     ExCp,
-    /// Implicit fine-grained pipeline: Load producer + fused
-    /// dequant-MMA consumers (the paper's LiquidGEMM configuration).
+    /// Implicit fine-grained pipeline: one producer streaming tile
+    /// descriptors + fused dequant-MMA consumers (the paper's
+    /// LiquidGEMM configuration).
     ImFp,
 }
 
@@ -141,7 +147,6 @@ mod tests {
         let lg = LiquidGemm::builder()
             .workers(3)
             .task_rows(5)
-            .stages(3)
             .build()
             .unwrap();
         let base = lg.gemm(&qa.q, &qa.scales, &w, KernelKind::Serial).y;

@@ -6,12 +6,15 @@
 //! pipeline (ImFP) of one Load warp group feeding multiple Compute warp
 //! groups.
 //!
-//! On this CPU reproduction, warp groups become threads, SMEM stages
-//! become a ring of staging buffers, TMA becomes a prefetching producer
-//! thread, and the tensor-core MMA becomes a blocked `i8×i8→i32`
-//! microkernel. The *structure* — who dequantizes, where the data lands,
-//! what synchronises with what — matches the paper's Figure 6 exactly,
-//! which is what the ExCP-vs-ImFP ablation measures.
+//! On this CPU reproduction, warp groups become threads, the Load WG
+//! becomes the submitting caller streaming tile descriptors, SMEM
+//! stages become the pool's bounded job queue, TMA becomes the cache
+//! hierarchy plus a software prefetch one K block ahead (weights are
+//! read in place from one shared `Arc`, never staged), and the
+//! tensor-core MMA becomes a blocked `i8×i8→i32` microkernel. The
+//! *structure* — who dequantizes, where the INT8 intermediate lands,
+//! what synchronises with what — matches the paper's Figure 6, which is
+//! what the ExCP-vs-ImFP ablation measures.
 //!
 //! Module map:
 //! * [`packed`] — kernel-ready weight containers for every precision the
@@ -33,19 +36,18 @@
 //! * [`runtime`] — the persistent worker pool (the paper's §5.4
 //!   persistent kernel) and its tile jobs, behind the [`LiquidGemm`]
 //!   handle: build once, issue every GEMM through it.
-//! * [`pipeline`] — the one tile-job driver over the pool; Flat, ImFP
-//!   and ExCP differ only in how it stages tiles (fresh buffers, a ring
-//!   of recycled buffers on the in-tree [`sync`] channel, or the ring
-//!   plus the Dequant→MMA hop).
+//! * [`pipeline`] — the one tile-job driver over the pool: a tile job
+//!   is a row range of the call's shared weights; Flat and ImFP run it
+//!   as one fused job, ExCP as a Dequant job plus the Dequant→MMA hop.
 //! * [`shard`] — tensor-parallel column/row sharding of one GEMM across
 //!   several pools, on the same driver.
-//! * [`sync`] — bounded MPMC channel (std mutex + condvar) with
-//!   `try_*` variants for stall accounting.
+//! * [`sync`] — bounded MPMC channel (std mutex + condvar), the
+//!   per-call reply path.
 //! * [`affinity`] — worker-to-CPU placement.
 //! * [`api`] — the shared argument types every call site uses
 //!   ([`KernelKind`], [`W4A8Weights`], [`GemmOutput`]).
 //!
-//! When [`lq_telemetry::enable`] is on, the pipelines export stall
+//! When [`lq_telemetry::enable`] is on, the pipelines export task
 //! counters, queue-depth gauges, and per-role span histograms (see
 //! `telemetry` module docs); disabled, instrumentation is one relaxed
 //! load per GEMM call.
@@ -75,7 +77,7 @@ pub use affinity::PlacementPolicy;
 pub use api::{GemmOutput, KernelKind, ParallelConfig, W4A8Weights};
 pub use lq_chaos::{FaultAction, FaultInjector, FaultPlan, FaultStats};
 pub use lq_quant::backend::{
-    registry, resolve, BackendCost, BackendId, KernelBackend, PackedWeights, TileDequant,
+    registry, resolve, BackendCost, BackendId, KernelBackend, PackedWeights,
 };
 pub use microkernel::MicrokernelSet;
 pub use packed::{

@@ -3,7 +3,8 @@
 //! data-parallel, the explicit coarse-grained pipeline (ExCP) and the
 //! implicit fine-grained pipeline (ImFP) are the same driver, the same
 //! strip kernel ([`crate::serial`]) and the same reply path — a
-//! [`KernelKind`] only decides how tiles are staged.
+//! [`KernelKind`] only decides whether a tile is one fused job or a
+//! Dequant → Mma pair.
 //!
 //! Mapping of the paper's Hopper structures (Figure 6) onto the pool:
 //!
@@ -11,15 +12,19 @@
 //! |-------------------------------|----------------------------------------|
 //! | persistent kernel (§5.4)      | the long-lived worker threads owned by |
 //! |                               | a [`crate::LiquidGemm`] handle         |
-//! | Load WG issuing TMA           | the calling thread inside `drive`,     |
-//! |                               | copying packed weight tiles into stage |
-//! |                               | buffers                                |
-//! | SMEM stages                   | ImFP/ExCP: the ring of `cfg.stages`    |
-//! |                               | owned `Vec<u32>` buffers circulating   |
-//! |                               | caller → worker → free; Flat: a fresh  |
-//! |                               | buffer per tile, no bound              |
+//! | Load WG (the single producer) | the calling thread inside `drive`,     |
+//! |                               | streaming fine-grained tile            |
+//! |                               | descriptors (`{ctx, j0, rows}`) into   |
+//! |                               | the pool                               |
+//! | TMA (GMEM → SMEM)             | the cache hierarchy plus the software  |
+//! |                               | prefetch the strip kernel issues one K |
+//! |                               | block ahead; weights are read in place |
+//! |                               | from the shared `Arc`, never copied    |
+//! | SMEM stages                   | the pool's bounded job queue           |
+//! |                               | (`queue_depth`): the producer blocks   |
+//! |                               | when that many tiles are in flight     |
 //! | Compute WG (dequant + MMA)    | a Compute job: the strip kernel over   |
-//! |                               | one staged tile — dequant a K block    |
+//! |                               | one tile's rows — dequant a K block    |
 //! |                               | into an L1-sized buffer, MMA it at     |
 //! |                               | once (no round trip)                   |
 //! | Dequant WG → SMEM → MMA WG    | ExCP only: a Dequant job materialises  |
@@ -44,12 +49,10 @@
 //!
 //! When [`lq_telemetry::enable`] has been called, a call records
 //! whole-call latency (`lq_gemm_ns`), per-role task spans
-//! (`lq_pipeline_task_ns`), would-block stalls on the stage ring
-//! (`lq_pipeline_stall_total{role="load"}` — the CPU analog of the
-//! warp-group stalls behind the paper's Fig. 10/13), task counts, and
-//! queue-occupancy gauges, all labelled with the call's `variant`
-//! (`flat`/`imfp`/`excp`, and `flat_raw` for the row-parallel shards'
-//! exact-sum calls); the pool itself exports queue depth and
+//! (`lq_pipeline_task_ns`), task counts, and queue-occupancy gauges,
+//! all labelled with the call's `variant`
+//! (`serial`/`flat`/`imfp`/`excp`, and `flat_raw` for the row-parallel
+//! shards' exact-sum calls); the pool itself exports queue depth and
 //! per-worker busy/steal counters (see [`crate::runtime`]). Disabled
 //! (the default), instrumentation is a single relaxed load per call.
 
@@ -63,11 +66,11 @@ use crate::affinity::PlacementPolicy;
 use crate::api::KernelKind;
 use crate::epilogue::Sink;
 use crate::microkernel::APanels;
-use crate::runtime::{CallCtx, Job, Reply, Staged, TileCall, WorkerPool};
+use crate::runtime::{CallCtx, Job, Reply, TileCall, WorkerPool};
 use crate::serial::{check_shapes, serial_tiles};
 use crate::simd::SimdVariant;
 use crate::sync::{bounded, Receiver};
-use crate::telemetry::{call_span, recv_counting, PipeMetrics};
+use crate::telemetry::{call_span, PipeMetrics};
 
 /// Parallel execution parameters.
 ///
@@ -83,8 +86,6 @@ pub struct ParallelConfig {
     pub workers: usize,
     /// Output channels per task (the fine-grained task size).
     pub task_rows: usize,
-    /// Staging buffers in flight (the "SMEM stage" count).
-    pub stages: usize,
     /// Worker-to-CPU placement policy. Like `workers`, this is a
     /// pool-sizing parameter: it takes effect when the pool is built
     /// ([`crate::LiquidGemm::builder`]) and is ignored by per-call
@@ -97,7 +98,6 @@ impl Default for ParallelConfig {
         Self {
             workers: 4,
             task_rows: 8,
-            stages: 8,
             placement: PlacementPolicy::Unpinned,
         }
     }
@@ -117,9 +117,6 @@ impl ParallelConfig {
 pub enum ConfigError {
     /// `workers == 0`: the pool would never execute anything.
     ZeroWorkers,
-    /// `stages < 2` (value attached): a stage ring needs at least
-    /// double buffering for load to overlap compute.
-    TooFewStages(usize),
     /// `task_rows == 0`: tasks would cover no output channels.
     ZeroTaskRows,
     /// `queue_depth == 0`: the injector queue could hold no jobs.
@@ -134,9 +131,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
-            ConfigError::TooFewStages(s) => {
-                write!(f, "stages must be >= 2 for double buffering (got {s})")
-            }
             ConfigError::ZeroTaskRows => write!(f, "task_rows must be >= 1"),
             ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be >= 1"),
             ConfigError::UnsupportedMicrokernel(v) => {
@@ -153,7 +147,6 @@ impl std::error::Error for ConfigError {}
 pub struct ParallelConfigBuilder {
     workers: usize,
     task_rows: usize,
-    stages: usize,
     placement: PlacementPolicy,
 }
 
@@ -163,7 +156,6 @@ impl Default for ParallelConfigBuilder {
         Self {
             workers: d.workers,
             task_rows: d.task_rows,
-            stages: d.stages,
             placement: d.placement,
         }
     }
@@ -184,13 +176,6 @@ impl ParallelConfigBuilder {
         self
     }
 
-    /// Staging buffers in flight (validated ≥ 2).
-    #[must_use]
-    pub fn stages(mut self, s: usize) -> Self {
-        self.stages = s;
-        self
-    }
-
     /// Worker-to-CPU placement policy (applies at pool build time, like
     /// `workers`; any value is valid — pinning degrades to a no-op
     /// where the OS refuses it).
@@ -205,16 +190,12 @@ impl ParallelConfigBuilder {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
-        if self.stages < 2 {
-            return Err(ConfigError::TooFewStages(self.stages));
-        }
         if self.task_rows == 0 {
             return Err(ConfigError::ZeroTaskRows);
         }
         Ok(ParallelConfig {
             workers: self.workers,
             task_rows: self.task_rows,
-            stages: self.stages,
             placement: self.placement,
         })
     }
@@ -252,116 +233,72 @@ fn collect_tiles<T: Copy + Default>(
 /// The one W4A8 driver: run `Yᵀ = W·Xᵀ` as tile jobs on the persistent
 /// pool and return the flat `N×M` buffer of whatever `sink` makes of
 /// each exact dot product (f32 epilogue for [`crate::LiquidGemm::gemm`],
-/// exact i64 for row-parallel sharding). `kind` decides only how tiles
-/// are staged:
+/// exact i64 for row-parallel sharding). The calling thread is the one
+/// producer: it streams a `{ctx, j0, rows}` descriptor per
+/// `cfg.task_rows` output channels into the pool — blocking only on
+/// the pool's queue capacity, the bound on tiles in flight — and the
+/// jobs read their rows of `w` in place. `kind` decides what a tile's
+/// job is:
 ///
 /// * `Serial` — no pool: the strip loop over the whole matrix on the
 ///   calling thread.
-/// * `FlatParallel` — the caller eagerly stages every tile into a
-///   fresh buffer, blocking only on the pool's queue capacity. The
-///   "pipeline off" arm of the Figure 13 ablation.
-/// * `ImFp` — the calling thread is the Load stage, streaming packed
-///   tiles into `cfg.stages` recycled buffers (the SMEM ring); workers
-///   run fused dequant+MMA jobs, so dequantization of one tile
-///   overlaps MMA of another with no cross-stage data movement. When
-///   every stage buffer is in flight the caller blocks on the free
-///   ring (backpressure; counted as a `load` stall).
-/// * `ExCp` — the same ring, but each tile is submitted as a Dequant
-///   job that materialises the whole INT8 tile and forwards an Mma job
-///   onto the executing worker's own deque (LIFO, so the tile is still
-///   hot; idle workers may steal it). Each tile crosses the queue
-///   twice and the INT8 intermediate makes the RF↔SMEM round trip —
-///   the overhead the paper measures against ImFP. Kept purely as the
-///   ablation.
+/// * `ImFp`, `FlatParallel` — one fused Compute job per tile: dequant
+///   of one tile overlaps MMA of another across workers with no
+///   cross-stage data movement (the same arm; see
+///   [`KernelKind::FlatParallel`]).
+/// * `ExCp` — each tile is submitted as a Dequant job that materialises
+///   the whole INT8 tile and forwards an Mma job onto the executing
+///   worker's own deque (LIFO, so the tile is still hot; idle workers
+///   may steal it). Each tile crosses the queue twice and the INT8
+///   intermediate makes the RF↔SMEM round trip — the overhead the
+///   paper measures against ImFP. Kept purely as the ablation.
 ///
 /// `variant` labels the call's telemetry series.
 pub(crate) fn drive<S: Sink + 'static>(
     pool: &WorkerPool,
     x: &Mat<i8>,
-    w: &dyn PackedWeights,
+    w: Arc<dyn PackedWeights>,
     cfg: ParallelConfig,
     kind: KernelKind,
     variant: &str,
     sink: S,
 ) -> Vec<S::Out> {
-    if kind == KernelKind::Serial {
-        return serial_tiles(pool.microkernels(), x, w, &sink);
-    }
-    check_shapes(x, sink.act_scales(), w);
     let backend = w.backend().label();
     let _call = call_span(variant, backend);
+    if kind == KernelKind::Serial {
+        return serial_tiles(pool.microkernels(), x, w.as_ref(), &sink);
+    }
+    check_shapes(x, sink.act_scales(), w.as_ref());
     let metrics = PipeMetrics::resolve(variant, backend).map(Arc::new);
     let (m, n) = (x.rows(), w.n());
     let task_rows = cfg.task_rows.max(1);
     let tasks = n.div_ceil(task_rows);
-    // The free ring (ImFP/ExCP): capacity covers every buffer that can
-    // exist at once, so recycling sends never block inside workers.
-    let (free_tx, free_rx) = (kind != KernelKind::FlatParallel)
-        .then(|| {
-            let stages = cfg.stages.max(1);
-            let (free_tx, free_rx) = bounded::<Vec<u32>>(stages + pool.workers() + 1);
-            for _ in 0..stages {
-                free_tx.send(Vec::new()).expect("prefill free ring");
-            }
-            (free_tx, free_rx)
-        })
-        .unzip();
     let (reply_tx, reply_rx) = bounded(tasks.max(1));
     let epoch = pool.next_epoch();
     let ctx: Arc<dyn TileCall> = Arc::new(CallCtx {
+        w,
         // One pass over the block — the same cost the pre-tiling runtime
         // paid to clone `x` into the call context.
         a: APanels::pack(x),
         sink,
         reply: reply_tx,
-        recycle: free_tx.clone(),
         epoch,
         mk: pool.microkernels(),
         metrics: metrics.clone(),
     });
-    for t in 0..tasks {
-        let j0 = t * task_rows;
-        let j1 = (j0 + task_rows).min(n);
-        let mut words = match &free_rx {
-            Some(free_rx) => {
-                let stall = metrics.as_ref().map(|mx| &mx.stall_load);
-                recv_counting(free_rx, stall).expect("free ring closed")
-            }
-            None => Vec::new(),
-        };
-        let load_t0 = lq_trace::enabled().then(std::time::Instant::now);
-        {
-            let _span = metrics.as_ref().map(|mx| mx.task_ns_load.span_owned());
-            words.clear();
-            words.extend_from_slice(w.rows_words(j0, j1));
-        }
-        if let Some(t0) = load_t0 {
-            lq_trace::span(
-                lq_trace::EventKind::StageLoad,
-                lq_trace::Track::Control,
-                j0 as u64,
-                0,
-                t0,
-            );
-        }
-        let tile = Staged {
-            j0,
-            rows: j1 - j0,
-            words,
-            quant: w.tile_dequant(j0, j1),
-        };
+    for j0 in (0..n).step_by(task_rows) {
+        let rows = task_rows.min(n - j0);
         let ctx = Arc::clone(&ctx);
         pool.submit(if kind == KernelKind::ExCp {
-            Job::Dequant { ctx, tile }
+            Job::Dequant { ctx, j0, rows }
         } else {
-            Job::Compute { ctx, tile }
+            Job::Compute { ctx, j0, rows }
         });
         if let Some(mx) = &metrics {
             mx.depth_task.set(pool.queue_len() as f64);
         }
     }
     drop(ctx);
-    drop(free_tx);
     collect_tiles(&reply_rx, tasks, m, n, epoch)
 }
 
@@ -373,25 +310,33 @@ mod tests {
     use crate::packed::{PackedLqqLinear, PackedQoqLinear};
     use crate::reference::{gemm_i8_ref, max_abs_diff};
     use crate::serial::{w4a8_serial, w4a8_serial_with};
+    use crate::shard::{KShardView, ShardView};
     use lq_quant::act::QuantizedActivations;
+    use std::ops::Range;
 
-    fn fixture(
-        m: usize,
-        n: usize,
-        k: usize,
-    ) -> (Mat<i8>, Vec<f32>, PackedLqqLinear, PackedQoqLinear) {
+    type Weights = Arc<dyn PackedWeights>;
+
+    /// One weight input of the sweep: `w` presents rows `rows` and K
+    /// columns `cols` of the backend's full pack.
+    struct Window {
+        label: &'static str,
+        w: Weights,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    }
+
+    fn fixture(m: usize, n: usize, k: usize) -> (Mat<i8>, Vec<f32>, Weights, Weights) {
         let xf = Mat::from_fn(m, k, |r, c| ((r * k + c) as f32 * 0.11).sin() * 2.0);
         let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.05).cos());
         let qa = QuantizedActivations::quantize(&xf, None);
-        let lqq = PackedLqqLinear::quantize(&wf, 64);
-        let qoq = PackedQoqLinear::quantize(&wf, 64);
+        let lqq = Arc::new(PackedLqqLinear::quantize(&wf, 64));
+        let qoq = Arc::new(PackedQoqLinear::quantize(&wf, 64));
         (qa.q, qa.scales, lqq, qoq)
     }
 
-    fn cfg(task_rows: usize, stages: usize) -> ParallelConfig {
+    fn cfg(task_rows: usize) -> ParallelConfig {
         ParallelConfig::builder()
             .task_rows(task_rows)
-            .stages(stages)
             .build()
             .expect("valid test config")
     }
@@ -401,21 +346,22 @@ mod tests {
         pool: &WorkerPool,
         x: &Mat<i8>,
         s: &[f32],
-        w: &dyn PackedWeights,
+        w: &Weights,
         cfg: ParallelConfig,
         kind: KernelKind,
     ) -> Mat<f32> {
-        let y_t = drive(pool, x, w, cfg, kind, "test", ScaleEpilogue(s.to_vec()));
+        let sink = ScaleEpilogue(s.to_vec());
+        let y_t = drive(pool, x, Arc::clone(w), cfg, kind, "test", sink);
         assemble_output(y_t, x.rows(), w.n())
     }
 
     #[test]
     fn imfp_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(7, 33, 128);
-        let want = w4a8_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, lqq.as_ref());
         for workers in [1, 2, 4] {
             let pool = WorkerPool::new(workers, 16);
-            let got = run(&pool, &x, &s, &lqq, cfg(5, 3), KernelKind::ImFp);
+            let got = run(&pool, &x, &s, &lqq, cfg(5), KernelKind::ImFp);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "workers={workers}");
         }
     }
@@ -423,78 +369,129 @@ mod tests {
     #[test]
     fn excp_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(6, 20, 192);
-        let want = w4a8_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, lqq.as_ref());
         let pool = WorkerPool::new(4, 16);
-        let got = run(&pool, &x, &s, &lqq, cfg(3, 2), KernelKind::ExCp);
+        let got = run(&pool, &x, &s, &lqq, cfg(3), KernelKind::ExCp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn flat_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(5, 17, 64);
-        let want = w4a8_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, lqq.as_ref());
         let pool = WorkerPool::new(3, 16);
-        let got = run(&pool, &x, &s, &lqq, cfg(4, 2), KernelKind::FlatParallel);
+        let got = run(&pool, &x, &s, &lqq, cfg(4), KernelKind::FlatParallel);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn qoq_variants_match_their_serial() {
         let (x, s, _, qoq) = fixture(4, 12, 128);
-        let want = w4a8_serial(&x, &s, &qoq);
+        let want = w4a8_serial(&x, &s, qoq.as_ref());
         let pool = WorkerPool::new(2, 16);
         for kind in [KernelKind::ImFp, KernelKind::ExCp, KernelKind::FlatParallel] {
-            let got = run(&pool, &x, &s, &qoq, cfg(4, 2), kind);
+            let got = run(&pool, &x, &s, &qoq, cfg(4), kind);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "{kind:?}");
         }
     }
 
-    /// Every backend × pipeline kind × detected microkernel variant,
-    /// through both sinks of the one driver: the exact-sink tile is the
-    /// integer reference GEMM on the backend's own dequantized weights,
-    /// replaying the epilogue on it reproduces the f32-sink output bit
-    /// for bit, and that output equals the variant's serial kernel.
+    /// Every backend × weight window × pipeline kind × detected
+    /// microkernel variant, through both sinks of the one driver. The
+    /// windows are the full pack, a column view (rows `[n0, n1)`) and a
+    /// K-slice view (groups `[g0, g0 + groups)`) over that same pack —
+    /// every kind reads them through the one `(row, group)` dequant
+    /// path, so this sweep is the oracle for the views' offsets. Per
+    /// cell: the exact-sink tile is the integer reference GEMM on the
+    /// window of the backend's own dequantized weights, replaying the
+    /// epilogue on it reproduces the f32-sink output bit for bit, and
+    /// that output equals the variant's serial kernel.
     #[test]
     fn every_backend_runs_every_pipeline_bit_exact_vs_its_serial() {
         use lq_quant::backend::registry;
-        let (m, n, k, group) = (5, 22, 128, 64);
+        let (m, n, k, group) = (5, 22, 192, 64);
         let (x, s, _, _) = fixture(m, n, k);
         let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.05).cos());
-        let c = cfg(5, 2);
+        let c = cfg(5);
+        let (n0, n1, g0, groups) = (3, 17, 1, 2);
         for v in SimdVariant::detected() {
             let mk = MicrokernelSet::for_variant(v).expect("detected implies available");
             let pool = WorkerPool::with_faults(3, 16, PlacementPolicy::Unpinned, mk, None);
             for backend in registry() {
-                let packed = backend.pack(&wf, group);
-                let w = packed.as_ref();
-                let want = w4a8_serial_with(mk, &x, &s, w);
-                let mut w_i8 = Mat::zeros(n, k);
+                let full = backend.pack(&wf, group);
+                let mut full_i8 = Mat::zeros(n, k);
                 for j in 0..n {
-                    for g in 0..k / group {
-                        w.dequant_row_group(j, g, &mut w_i8.row_mut(j)[g * group..(g + 1) * group]);
+                    for (g, dst) in full_i8.row_mut(j).chunks_mut(group).enumerate() {
+                        full.dequant_row_group(j, g, dst);
                     }
                 }
-                let sums = gemm_i8_ref(&x, &w_i8);
-                let ch = w.channel_scales();
-                for kind in [
-                    KernelKind::Serial,
-                    KernelKind::ImFp,
-                    KernelKind::ExCp,
-                    KernelKind::FlatParallel,
-                ] {
-                    let at = format!("backend {} {kind:?} {}", backend.id(), v.label());
-                    let exact = drive(&pool, &x, w, c, kind, "test", ExactSum);
-                    let got = run(&pool, &x, &s, w, c, kind);
-                    assert_eq!(max_abs_diff(&got, &want), 0.0, "{at}");
-                    for i in 0..m {
-                        for j in 0..n {
-                            let sum = exact[j * m + i];
-                            assert_eq!(sum, i64::from(*sums.get(i, j)), "{at} sum[{i}][{j}]");
-                            assert_eq!(
-                                (sum as f32 * s[i] * ch[j]).to_bits(),
-                                got.get(i, j).to_bits(),
-                                "{at} epilogue replay [{i}][{j}]"
-                            );
+                let windows = [
+                    Window {
+                        label: "full",
+                        w: Arc::clone(&full),
+                        rows: 0..n,
+                        cols: 0..k,
+                    },
+                    Window {
+                        label: "column view",
+                        w: Arc::new(ShardView {
+                            inner: Arc::clone(&full),
+                            n0,
+                            n1,
+                        }),
+                        rows: n0..n1,
+                        cols: 0..k,
+                    },
+                    Window {
+                        label: "K-slice view",
+                        w: Arc::new(KShardView {
+                            inner: Arc::clone(&full),
+                            g0,
+                            groups,
+                        }),
+                        rows: 0..n,
+                        cols: g0 * group..(g0 + groups) * group,
+                    },
+                ];
+                for win in windows {
+                    let (w, window) = (win.w, win.label);
+                    let (wn, wk, r0, k0) = (
+                        win.rows.len(),
+                        win.cols.len(),
+                        win.rows.start,
+                        win.cols.start,
+                    );
+                    assert_eq!((w.n(), w.k()), (wn, wk), "{window}");
+                    assert_eq!(
+                        w.channel_scales(),
+                        &full.channel_scales()[win.rows],
+                        "{window}"
+                    );
+                    let xw = Mat::from_fn(m, wk, |r, c| x.row(r)[k0 + c]);
+                    let w_i8 = Mat::from_fn(wn, wk, |r, c| full_i8.row(r0 + r)[k0 + c]);
+                    let want = w4a8_serial_with(mk, &xw, &s, w.as_ref());
+                    let sums = gemm_i8_ref(&xw, &w_i8);
+                    let ch = w.channel_scales();
+                    for kind in [
+                        KernelKind::Serial,
+                        KernelKind::ImFp,
+                        KernelKind::ExCp,
+                        KernelKind::FlatParallel,
+                    ] {
+                        let at =
+                            format!("backend {} {window} {kind:?} {}", backend.id(), v.label());
+                        let exact = drive(&pool, &xw, Arc::clone(&w), c, kind, "test", ExactSum);
+                        let got = run(&pool, &xw, &s, &w, c, kind);
+                        assert_eq!(max_abs_diff(&got, &want), 0.0, "{at}");
+                        for i in 0..m {
+                            for j in 0..wn {
+                                let sum = exact[j * m + i];
+                                assert_eq!(sum, i64::from(*sums.get(i, j)), "{at} sum[{i}][{j}]");
+                                assert_eq!(
+                                    (sum as f32 * s[i] * ch[j]).to_bits(),
+                                    got.get(i, j).to_bits(),
+                                    "{at} epilogue replay [{i}][{j}]"
+                                );
+                            }
                         }
                     }
                 }
@@ -505,28 +502,28 @@ mod tests {
     #[test]
     fn task_rows_not_dividing_n_is_handled() {
         let (x, s, lqq, _) = fixture(3, 10, 64);
-        let want = w4a8_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, lqq.as_ref());
         let pool = WorkerPool::new(2, 16);
-        let got = run(&pool, &x, &s, &lqq, cfg(7, 2), KernelKind::ImFp);
+        let got = run(&pool, &x, &s, &lqq, cfg(7), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn more_workers_than_tasks_is_safe() {
         let (x, s, lqq, _) = fixture(2, 4, 64);
-        let want = w4a8_serial(&x, &s, &lqq);
+        let want = w4a8_serial(&x, &s, lqq.as_ref());
         let pool = WorkerPool::new(16, 32);
-        let got = run(&pool, &x, &s, &lqq, cfg(4, 8), KernelKind::ImFp);
+        let got = run(&pool, &x, &s, &lqq, cfg(4), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
 
     #[test]
     fn one_pool_serves_interleaved_variants() {
         let (x, s, lqq, qoq) = fixture(3, 19, 128);
-        let want_l = w4a8_serial(&x, &s, &lqq);
-        let want_q = w4a8_serial(&x, &s, &qoq);
+        let want_l = w4a8_serial(&x, &s, lqq.as_ref());
+        let want_q = w4a8_serial(&x, &s, qoq.as_ref());
         let pool = WorkerPool::new(3, 8);
-        let c = cfg(4, 2);
+        let c = cfg(4);
         for _ in 0..8 {
             let got = run(&pool, &x, &s, &lqq, c, KernelKind::ImFp);
             assert_eq!(max_abs_diff(&got, &want_l), 0.0);
@@ -545,14 +542,10 @@ mod tests {
             Err(ConfigError::ZeroWorkers)
         );
         assert_eq!(
-            ParallelConfig::builder().stages(1).build(),
-            Err(ConfigError::TooFewStages(1))
-        );
-        assert_eq!(
             ParallelConfig::builder().task_rows(0).build(),
             Err(ConfigError::ZeroTaskRows)
         );
         // Errors render human-readable messages.
-        assert!(ConfigError::TooFewStages(1).to_string().contains("got 1"));
+        assert!(ConfigError::ZeroTaskRows.to_string().contains("task_rows"));
     }
 }

@@ -37,17 +37,20 @@
 //! its own pool's capacity would deadlock) — the transient excess is at
 //! most one job per worker.
 //!
-//! Why jobs are fully owned: `lq-core` denies `unsafe` outside the two
-//! leaf modules ([`crate::simd`], [`crate::affinity`]), so the
-//! rayon-style lifetime-erased scoped pool is off the table. Instead
-//! each job carries its staged packed words (`Vec<u32>` — the copy the
-//! ImFP producer already made into the SMEM ring), an owned dequant
-//! recipe (a boxed [`lq_quant::TileDequant`], a few bytes per group),
-//! and an `Arc` of the per-call context (packed activation panels, scales,
-//! reply sender). Workers compute into owned output chunks and send
-//! them back; the caller assembles and transposes. Integer accumulation
-//! is exact, so results stay bit-identical to the serial kernels no
-//! matter which worker runs which tile in which order.
+//! A tile job is a row range, not a copy: `lq-core` denies `unsafe`
+//! outside the two leaf modules ([`crate::simd`], [`crate::affinity`]),
+//! so the rayon-style lifetime-erased scoped pool is off the table and
+//! a job must be `'static` — but packed weights already live behind an
+//! `Arc<dyn PackedWeights>`, which is exactly that. A job is therefore
+//! `{ctx, j0, rows}`: an `Arc` of the per-call context (the shared
+//! weights, packed activation panels, the sink with its scales, the
+//! reply sender) and the output channels it covers; it dequantizes
+//! straight from the shared weights through the same
+//! [`PackedWeights::dequant_row_group`] the serial kernel calls.
+//! Workers compute into owned output chunks and send them back; the
+//! caller assembles and transposes. Integer accumulation is exact, so
+//! results stay bit-identical to the serial kernels no matter which
+//! worker runs which tile in which order.
 //!
 //! Epoch stamps: every call takes a fresh epoch from the pool's
 //! `AtomicU64`; replies carry it so a debug build catches any cross-call
@@ -64,12 +67,12 @@
 //! A panic inside a job is caught with `catch_unwind`, but instead of
 //! propagating to the caller the pool heals itself:
 //!
-//! 1. The job's owned fields survive the unwind (the caught closure
-//!    only *borrows* the job), so the worker requeues it on the global
-//!    injector for another worker —
-//!    non-blocking, with a small attempts-proportional backoff, up to
-//!    [`MAX_JOB_RETRIES`] times. Integer accumulation keeps the
-//!    retried result bit-exact with the serial kernels.
+//! 1. The job — `{ctx, j0, rows}` — survives the unwind (the caught
+//!    closure only *borrows* it), so the worker requeues it on the
+//!    global injector for another worker — non-blocking, with a small
+//!    attempts-proportional backoff, up to [`MAX_JOB_RETRIES`] times.
+//!    Integer accumulation keeps the retried result bit-exact with the
+//!    serial kernels.
 //! 2. The panicked worker is quarantined: it records the restart
 //!    (`worker_stats().restarts`, `lq_pool_worker_restarts_total`),
 //!    spawns its own replacement thread under the lifecycle lock
@@ -96,7 +99,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lq_chaos::{FaultAction, FaultInjector};
-use lq_quant::backend::{BackendId, TileDequant};
+use lq_quant::backend::{BackendId, PackedWeights};
 use lq_quant::mat::Mat;
 use lq_telemetry::Gauge;
 
@@ -105,17 +108,19 @@ use crate::api::{GemmOutput, KernelKind, W4A8Weights};
 use crate::epilogue::{assemble_output, ScaleEpilogue, Sink};
 use crate::microkernel::{APanels, MicrokernelSet};
 use crate::pipeline::{drive, ConfigError, ParallelConfig};
-use crate::serial::{dense_kernel, strip_kernel};
+use crate::serial::{dense_kernel, materialize_tile, strip_kernel};
 use crate::simd::SimdVariant;
 use crate::sync::{bounded, Sender};
 use crate::telemetry::{pool_fault_metrics, PipeMetrics, WorkerMetrics};
 
-/// Per-call shared state a tile job needs beyond its own tile: the
-/// packed activations, the output sink, the reply channel, and (for the
-/// staged variants) the free-ring sender that recycles word buffers.
-/// Generic over the call's [`Sink`]; jobs hold it as an
+/// Per-call shared state of a GEMM call's tile jobs: the weights, the
+/// packed activations, the output sink and the reply channel. Generic
+/// over the call's [`Sink`]; jobs hold it as an
 /// `Arc<dyn `[`TileCall`]`>`.
 pub(crate) struct CallCtx<S: Sink> {
+    /// The call's packed weights (or a shard's view of them), shared
+    /// with the caller — jobs read their row range in place.
+    pub(crate) w: Arc<dyn PackedWeights>,
     /// INT8 activations packed into register-tile panels — built once
     /// per call so jobs are `'static` (the same single pass over the
     /// block that cloning the matrix used to cost).
@@ -125,8 +130,6 @@ pub(crate) struct CallCtx<S: Sink> {
     pub(crate) sink: S,
     /// Where finished tiles go.
     pub(crate) reply: Sender<Reply<S::Out>>,
-    /// Stage-ring recycling for `words` buffers (ImFP/ExCP).
-    pub(crate) recycle: Option<Sender<Vec<u32>>>,
     /// Epoch stamped on every reply of this call.
     pub(crate) epoch: u64,
     /// Microkernel family every tile job of this call computes with
@@ -144,16 +147,6 @@ pub(crate) enum Reply<T> {
     Done { j0: usize, out: Vec<T>, epoch: u64 },
     /// The job panicked; the caller re-panics.
     Panicked,
-}
-
-/// One staged weight tile: output channels `[j0, j0 + rows)`, their
-/// packed words (the copy the Load stage made), and the owned dequant
-/// recipe.
-pub(crate) struct Staged {
-    pub(crate) j0: usize,
-    pub(crate) rows: usize,
-    pub(crate) words: Vec<u32>,
-    pub(crate) quant: Box<dyn TileDequant>,
 }
 
 /// The trace identity of one job attempt's stage span: stage spans
@@ -181,32 +174,27 @@ impl StageSpan {
 }
 
 /// A call as its tile jobs see it, with the sink's output type erased:
-/// one virtual call per job stage, none per element.
+/// one virtual call per job stage, none per element. Tiles are output
+/// channels `[j0, j0 + rows)` of the call's weights.
 pub(crate) trait TileCall: Send + Sync {
-    /// Fused dequant+MMA over a staged tile (Flat and ImFP): compute,
-    /// recycle the stage buffer, reply.
-    fn compute(&self, tile: &mut Staged, span: &StageSpan);
-    /// ExCP stage 2: materialise the INT8 tile (returned with `k` and
-    /// its channel scales) and recycle the stage buffer.
-    fn dequant(&self, tile: &mut Staged, span: &StageSpan) -> (Vec<i8>, usize, Vec<f32>);
+    /// Fused dequant+MMA over a tile (Flat and ImFP): compute, reply.
+    fn compute(&self, j0: usize, rows: usize, span: &StageSpan);
+    /// ExCP stage 2: materialise the tile as row-major `rows×k` INT8.
+    fn dequant(&self, j0: usize, rows: usize, span: &StageSpan) -> Vec<i8>;
     /// ExCP stage 3: dot products from a materialised INT8 tile; reply.
-    fn mma(&self, j0: usize, k: usize, tile: &[i8], channel_scales: &[f32], span: &StageSpan);
+    fn mma(&self, j0: usize, tile: &[i8], span: &StageSpan);
     /// Report a job that exhausted its retry budget, so the caller
     /// un-blocks (and re-panics — see `collect_tiles`).
     fn abandon(&self);
 }
 
 impl<S: Sink> CallCtx<S> {
-    /// Common tail of successful Compute/Mma jobs: count the task,
-    /// recycle the stage buffer, reply. Send failures mean the caller
-    /// is gone (it panicked or was dropped) and are deliberately
-    /// ignored.
-    fn finish(&self, j0: usize, out: Vec<S::Out>, words: Option<Vec<u32>>) {
+    /// Common tail of successful Compute/Mma jobs: count the task and
+    /// reply. Send failures mean the caller is gone (it panicked or
+    /// was dropped) and are deliberately ignored.
+    fn finish(&self, j0: usize, out: Vec<S::Out>) {
         if let Some(mx) = &self.metrics {
             mx.tasks.inc();
-        }
-        if let (Some(rec), Some(buf)) = (&self.recycle, words) {
-            let _ = rec.send(buf);
         }
         let _ = self.reply.send(Reply::Done {
             j0,
@@ -217,58 +205,51 @@ impl<S: Sink> CallCtx<S> {
 }
 
 impl<S: Sink> TileCall for CallCtx<S> {
-    fn compute(&self, tile: &mut Staged, span: &StageSpan) {
+    fn compute(&self, j0: usize, rows: usize, span: &StageSpan) {
         let m = self.a.m();
-        let mut out = vec![S::Out::default(); tile.rows * m];
+        let mut out = vec![S::Out::default(); rows * m];
         {
             let _span = self
                 .metrics
                 .as_ref()
                 .map(|mx| mx.task_ns_compute.span_owned());
-            let (q, words) = (tile.quant.as_ref(), tile.words.as_slice());
-            let ch = q.channel_scales();
-            strip_kernel(
-                self.mk,
-                &self.a,
-                words,
-                (tile.rows, q.k(), q.group()),
-                |j, g, dst| q.dequant_group(words, j, g, dst),
-                |j, i, s| out[j * m + i] = self.sink.emit(i, ch[j], s),
-            );
+            let ch = &self.w.channel_scales()[j0..j0 + rows];
+            strip_kernel(self.mk, &self.a, self.w.as_ref(), (j0, rows), |j, i, s| {
+                out[j * m + i] = self.sink.emit(i, ch[j], s);
+            });
         }
-        span.record(lq_trace::EventKind::StageCompute, tile.j0, tile.rows);
-        self.finish(tile.j0, out, Some(std::mem::take(&mut tile.words)));
+        span.record(lq_trace::EventKind::StageCompute, j0, rows);
+        self.finish(j0, out);
     }
 
-    fn dequant(&self, tile: &mut Staged, span: &StageSpan) -> (Vec<i8>, usize, Vec<f32>) {
-        let materialised = {
+    fn dequant(&self, j0: usize, rows: usize, span: &StageSpan) -> Vec<i8> {
+        let tile = {
             let _span = self
                 .metrics
                 .as_ref()
                 .and_then(|mx| mx.task_ns_dequant.as_ref().map(|h| h.span_owned()));
-            tile.quant.materialize(&tile.words, tile.rows)
+            materialize_tile(self.w.as_ref(), j0, rows)
         };
-        span.record(lq_trace::EventKind::StageDequant, tile.j0, tile.rows);
-        if let Some(rec) = &self.recycle {
-            let _ = rec.send(std::mem::take(&mut tile.words));
-        }
-        materialised
+        span.record(lq_trace::EventKind::StageDequant, j0, rows);
+        tile
     }
 
-    fn mma(&self, j0: usize, k: usize, tile: &[i8], channel_scales: &[f32], span: &StageSpan) {
-        let (m, rows) = (self.a.m(), channel_scales.len());
+    fn mma(&self, j0: usize, tile: &[i8], span: &StageSpan) {
+        let (m, k) = (self.a.m(), self.w.k());
+        let rows = tile.len() / k;
         let mut out = vec![S::Out::default(); rows * m];
         {
             let _span = self
                 .metrics
                 .as_ref()
                 .and_then(|mx| mx.task_ns_mma.as_ref().map(|h| h.span_owned()));
+            let ch = &self.w.channel_scales()[j0..j0 + rows];
             dense_kernel(self.mk, &self.a, tile, (rows, k), |j, i, s| {
-                out[j * m + i] = self.sink.emit(i, channel_scales[j], s);
+                out[j * m + i] = self.sink.emit(i, ch[j], s);
             });
         }
         span.record(lq_trace::EventKind::StageMma, j0, rows);
-        self.finish(j0, out, None);
+        self.finish(j0, out);
     }
 
     fn abandon(&self) {
@@ -276,58 +257,49 @@ impl<S: Sink> TileCall for CallCtx<S> {
     }
 }
 
-/// One unit of work on a worker deque.
+/// One unit of work on a worker deque. A tile job names output
+/// channels `[j0, j0 + rows)` of its call's shared weights; nothing but
+/// ExCP's materialised intermediate is ever copied into a job.
 pub(crate) enum Job {
-    /// Fused dequant+MMA over a staged tile (Flat and ImFP variants).
+    /// Fused dequant+MMA over a tile (Flat and ImFP variants).
     Compute {
         ctx: Arc<dyn TileCall>,
-        tile: Staged,
+        j0: usize,
+        rows: usize,
     },
     /// ExCP stage 2: materialise the INT8 tile, then forward an [`Job::Mma`].
     Dequant {
         ctx: Arc<dyn TileCall>,
-        tile: Staged,
+        j0: usize,
+        rows: usize,
     },
     /// ExCP stage 3: dot products from a materialised INT8 tile.
     Mma {
         ctx: Arc<dyn TileCall>,
         j0: usize,
-        k: usize,
         tile: Vec<i8>,
-        channel_scales: Vec<f32>,
     },
     /// Test-only: panic inside the worker (exercises containment).
     Panic { reply: Sender<Reply<f32>> },
 }
 
 impl Job {
-    /// Run one attempt, borrowing the job so its owned fields survive
-    /// an unwind. Returns the job this one forwards onto the executing
-    /// worker's deque (the ExCP Dequant→MMA hop), if any.
-    fn run(&mut self, span: &StageSpan) -> Option<Job> {
+    /// Run one attempt, borrowing the job so it survives an unwind.
+    /// Returns the job this one forwards onto the executing worker's
+    /// deque (the ExCP Dequant→MMA hop), if any.
+    fn run(&self, span: &StageSpan) -> Option<Job> {
         match self {
-            Job::Compute { ctx, tile } => {
-                ctx.compute(tile, span);
+            Job::Compute { ctx, j0, rows } => {
+                ctx.compute(*j0, *rows, span);
                 None
             }
-            Job::Dequant { ctx, tile } => {
-                let (int8, k, channel_scales) = ctx.dequant(tile, span);
-                Some(Job::Mma {
-                    ctx: Arc::clone(ctx),
-                    j0: tile.j0,
-                    k,
-                    tile: int8,
-                    channel_scales,
-                })
-            }
-            Job::Mma {
-                ctx,
-                j0,
-                k,
-                tile,
-                channel_scales,
-            } => {
-                ctx.mma(*j0, *k, tile, channel_scales, span);
+            Job::Dequant { ctx, j0, rows } => Some(Job::Mma {
+                ctx: Arc::clone(ctx),
+                j0: *j0,
+                tile: ctx.dequant(*j0, *rows, span),
+            }),
+            Job::Mma { ctx, j0, tile } => {
+                ctx.mma(*j0, tile, span);
                 None
             }
             Job::Panic { .. } => panic!("injected worker panic"),
@@ -647,7 +619,7 @@ impl WorkerPool {
     }
 
     /// Place a job, blocking when the pool is at capacity (the natural
-    /// backpressure bounding staged-tile memory). Placement is
+    /// backpressure bounding in-flight tile jobs). Placement is
     /// round-robin across worker deques, so load is spread at enqueue
     /// time and stealing only handles the stragglers.
     pub(crate) fn submit(&self, job: Job) {
@@ -1026,11 +998,10 @@ fn heal(
     );
 }
 
-/// What became of one job attempt. On `Panicked` the job's owned
-/// fields survived the unwind (the caught closure only borrowed them),
-/// so the job can be retried on another worker; `Panicked(None)` means
-/// there is nothing to retry (the test-injected [`Job::Panic`] probe,
-/// which already replied).
+/// What became of one job attempt. On `Panicked` the job survived the
+/// unwind (the caught closure only borrowed it), so it can be retried
+/// on another worker; `Panicked(None)` means there is nothing to retry
+/// (the test-injected [`Job::Panic`] probe, which already replied).
 enum JobOutcome {
     Done,
     Panicked(Option<Job>),
@@ -1040,7 +1011,7 @@ enum JobOutcome {
 /// injector's verdict for this attempt — raised *inside* the caught
 /// closure so the injected fault takes the exact path a real mid-job
 /// panic would. `corr` is the job's causal correlation ID.
-fn execute(mut job: Job, shared: &Shared, id: usize, corr: u64, force_panic: bool) -> JobOutcome {
+fn execute(job: Job, shared: &Shared, id: usize, corr: u64, force_panic: bool) -> JobOutcome {
     let span = StageSpan {
         t0: lq_trace::enabled().then(std::time::Instant::now),
         worker: id as u32,
@@ -1105,7 +1076,7 @@ pub struct LiquidGemm {
 
 impl LiquidGemm {
     /// Start configuring a handle. Defaults: `workers` =
-    /// `available_parallelism` capped at 8, `task_rows` 8, `stages` 8,
+    /// `available_parallelism` capped at 8, `task_rows` 8,
     /// `queue_depth` 64.
     #[must_use]
     pub fn builder() -> LiquidGemmBuilder {
@@ -1159,8 +1130,8 @@ impl LiquidGemm {
     }
 
     /// Run `Y = X·Wᵀ` with explicit tiling parameters. `cfg.task_rows`
-    /// and `cfg.stages` apply per call; `cfg.workers` is ignored — the
-    /// pool's thread count was fixed at [`LiquidGemm::builder`] time.
+    /// applies per call; `cfg.workers` is ignored — the pool's thread
+    /// count was fixed at [`LiquidGemm::builder`] time.
     #[must_use]
     pub fn gemm_with(
         &self,
@@ -1177,7 +1148,7 @@ impl LiquidGemm {
             KernelKind::ImFp => "imfp",
         };
         let sink = ScaleEpilogue(act_scales.to_vec());
-        let y_t = drive(&self.pool, x, weights.as_dyn(), cfg, kind, variant, sink);
+        let y_t = drive(&self.pool, x, weights.packed(), cfg, kind, variant, sink);
         GemmOutput {
             y: assemble_output(y_t, x.rows(), weights.n()),
         }
@@ -1203,7 +1174,6 @@ impl LiquidGemm {
 pub struct LiquidGemmBuilder {
     workers: usize,
     task_rows: usize,
-    stages: usize,
     queue_depth: usize,
     backend: BackendId,
     placement: PlacementPolicy,
@@ -1217,7 +1187,6 @@ impl Default for LiquidGemmBuilder {
         Self {
             workers: workers.clamp(1, 8),
             task_rows: 8,
-            stages: 8,
             queue_depth: 64,
             backend: BackendId::Lqq,
             placement: PlacementPolicy::Unpinned,
@@ -1242,15 +1211,8 @@ impl LiquidGemmBuilder {
         self
     }
 
-    /// Default staging buffers in flight per call (validated ≥ 2).
-    #[must_use]
-    pub fn stages(mut self, s: usize) -> Self {
-        self.stages = s;
-        self
-    }
-
-    /// Injector queue capacity (validated ≥ 1). Bounds how many staged
-    /// tiles can wait unexecuted; submitters block beyond it.
+    /// Injector queue capacity (validated ≥ 1). Bounds how many tile
+    /// jobs can wait unexecuted; submitters block beyond it.
     #[must_use]
     pub fn queue_depth(mut self, q: usize) -> Self {
         self.queue_depth = q;
@@ -1304,7 +1266,6 @@ impl LiquidGemmBuilder {
         let defaults = ParallelConfig::builder()
             .workers(self.workers)
             .task_rows(self.task_rows)
-            .stages(self.stages)
             .placement(self.placement)
             .build()?;
         if self.queue_depth == 0 {
@@ -1387,7 +1348,6 @@ mod tests {
         let lg = LiquidGemm::builder()
             .workers(2)
             .task_rows(4)
-            .stages(2)
             .build()
             .unwrap();
         let want = lg.gemm(&x, &s, &w, KernelKind::Serial).y;
@@ -1486,10 +1446,6 @@ mod tests {
         assert!(matches!(
             LiquidGemm::builder().workers(0).build(),
             Err(ConfigError::ZeroWorkers)
-        ));
-        assert!(matches!(
-            LiquidGemm::builder().stages(1).build(),
-            Err(ConfigError::TooFewStages(1))
         ));
         assert!(matches!(
             LiquidGemm::builder().task_rows(0).build(),

@@ -7,11 +7,12 @@
 //! dequantize, then the register-tile MMA against all tokens — and it
 //! exists once: [`w4a8_serial`] runs it over the whole matrix on the
 //! calling thread, a pool Compute job ([`crate::runtime`]) runs it over
-//! one staged tile. The *only* difference between two backends is the
-//! dequantization they plug in, making the LQQ-vs-QoQ benchmark a pure
-//! algorithm comparison, exactly like the paper's Figure 13 "+LQQ"
-//! ablation; the only difference between the f32 and the exact-integer
-//! result is the `Sink` the sums are handed to.
+//! its row range of the same shared weights. The *only* difference
+//! between two backends is the dequantization they plug in, making the
+//! LQQ-vs-QoQ benchmark a pure algorithm comparison, exactly like the
+//! paper's Figure 13 "+LQQ" ablation; the only difference between the
+//! f32 and the exact-integer result is the `Sink` the sums are handed
+//! to.
 //!
 //! Integer kernels are bit-exact against `reference::gemm_i8_ref` on the
 //! dequantized weights; float kernels match to rounding tolerance.
@@ -41,29 +42,27 @@ pub(crate) fn check_shapes(x: &Mat<i8>, act_scales: Option<&[f32]>, w: &dyn Pack
 }
 
 /// The fused dequant→MMA strip loop — the body of the serial kernel
-/// and of every pool Compute job (Flat and ImFP). Channels `[0, rows)`
-/// are walked a `strip_width()`-row strip at a time; each K block
-/// ([`MicrokernelSet::kc_block`] — one group for the scalar family, an
-/// L1-sized run of groups for the SIMD ones) is dequantized for the
-/// whole strip by `dequant(row, group, dst)` into a staging buffer that
-/// the register-tile microkernel consumes at once, and every finished
-/// `(row, token)` dot product goes to `emit` as an exact integer.
-/// `words` are the packed words of the `rows` rows; they are only
-/// software-prefetched here, one K block ahead of the dequant walk.
+/// and of every pool Compute job (Flat and ImFP). Channels
+/// `[j0, j0 + rows)` of `w` are walked a `strip_width()`-row strip at a
+/// time; each K block ([`MicrokernelSet::kc_block`] — one group for the
+/// scalar family, an L1-sized run of groups for the SIMD ones) is
+/// dequantized for the whole strip through
+/// [`PackedWeights::dequant_row_group`] into a staging buffer that the
+/// register-tile microkernel consumes at once, and every finished
+/// `(row - j0, token)` dot product goes to `emit` as an exact integer.
 pub(crate) fn strip_kernel(
     mk: MicrokernelSet,
     a: &APanels,
-    words: &[u32],
-    (rows, k, group): (usize, usize, usize),
-    dequant: impl Fn(usize, usize, &mut [i8]),
+    w: &dyn PackedWeights,
+    (j0, rows): (usize, usize),
     mut emit: impl FnMut(usize, usize, i64),
 ) {
     mk.record_dispatch(a.m());
+    let (k, group) = (w.k(), w.group());
     let strip = mk.strip_width();
     let kcb = mk.kc_block(group, k);
     let mut wbuf = vec![0i8; strip * kcb];
     let mut acc = vec![0i32; mk.acc_len(a)];
-    let wpr = words.len() / rows.max(1);
     for jb in (0..rows).step_by(strip) {
         let nr = strip.min(rows - jb);
         acc.fill(0);
@@ -75,16 +74,24 @@ pub(crate) fn strip_kernel(
                 // stride: their chains are never read back.
                 wbuf.fill(0);
             }
-            // Hint the next K block's packed words while this block
-            // dequantizes and reduces.
-            for r in 0..nr {
-                simd::prefetch_read(words, (jb + r) * wpr + wpr * (k0 + kc) / k.max(1));
+            // Hint the packed words the dequant walk reaches next — the
+            // next K block of this strip, or the next strip's first —
+            // while this block dequantizes and reduces. Addressed by
+            // (row, group) like the dequant itself, so a weight view's
+            // offsets apply to the hint too.
+            let (hint_jb, hint_g) = if k0 + kc < k {
+                (jb, (k0 + kc) / group)
+            } else {
+                (jb + strip, 0)
+            };
+            for j in hint_jb..(hint_jb + strip).min(rows) {
+                simd::prefetch_read(w.group_words(j0 + j, hint_g), 0);
             }
             let g0 = k0 / group;
             for r in 0..nr {
                 let dst = &mut wbuf[r * kc..(r + 1) * kc];
                 for (gg, chunk) in dst.chunks_mut(group).enumerate() {
-                    dequant(jb + r, g0 + gg, chunk);
+                    w.dequant_row_group(j0 + jb + r, g0 + gg, chunk);
                 }
             }
             mk.accumulate(a, k0, kc, &wbuf[..strip * kc], &mut acc);
@@ -94,6 +101,21 @@ pub(crate) fn strip_kernel(
             mk.reduce(a, &acc, r, |tok, s| emit(jb + r, tok, s));
         }
     }
+}
+
+/// ExCP's Dequant stage: materialise channels `[j0, j0 + rows)` of `w`
+/// as one row-major `rows×k` INT8 tile — the "write the tile back to
+/// SMEM" round trip the paper measures ExCP by — for [`dense_kernel`]
+/// to consume in the Mma stage.
+pub(crate) fn materialize_tile(w: &dyn PackedWeights, j0: usize, rows: usize) -> Vec<i8> {
+    let (k, group) = (w.k(), w.group());
+    let mut tile = vec![0i8; rows * k];
+    for (j, row) in tile.chunks_mut(k).enumerate() {
+        for (g, chunk) in row.chunks_mut(group).enumerate() {
+            w.dequant_row_group(j0 + j, g, chunk);
+        }
+    }
+    tile
 }
 
 /// The strip loop over weights that are already INT8 (row-major
@@ -127,9 +149,9 @@ pub(crate) fn dense_kernel(
 }
 
 /// The serial kernel for any output sink: the whole weight matrix as
-/// one strip-loop run on the calling thread (the ImFP data path, minus
-/// the parallelism), dequantizing straight from the packed weights.
-/// Returns the flat `N×M` tile, as the pool drivers do.
+/// one strip-loop run on the calling thread (a pool Compute job whose
+/// row range is everything). Returns the flat `N×M` tile, as the pool
+/// driver does.
 pub(crate) fn serial_tiles<S: Sink>(
     mk: MicrokernelSet,
     x: &Mat<i8>,
@@ -141,14 +163,9 @@ pub(crate) fn serial_tiles<S: Sink>(
     let a = APanels::pack(x);
     let ch = w.channel_scales();
     let mut out = vec![S::Out::default(); n * m];
-    strip_kernel(
-        mk,
-        &a,
-        w.rows_words(0, n),
-        (n, w.k(), w.group()),
-        |j, g, dst| w.dequant_row_group(j, g, dst),
-        |j, i, s| out[j * m + i] = sink.emit(i, ch[j], s),
-    );
+    strip_kernel(mk, &a, w, (0, n), |j, i, s| {
+        out[j * m + i] = sink.emit(i, ch[j], s);
+    });
     out
 }
 

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lq_chaos::FaultInjector;
-use lq_quant::backend::{BackendId, PackedWeights, TileDequant};
+use lq_quant::backend::{BackendId, PackedWeights};
 use lq_quant::mat::Mat;
 
 use crate::api::{GemmOutput, KernelKind, W4A8Weights};
@@ -67,10 +67,10 @@ use crate::simd::SimdVariant;
 /// backend bit-exact — the codebook backend's k-means codebook is
 /// matrix-global, so packing a shard's rows alone would quantize them
 /// differently.
-struct ShardView {
-    inner: Arc<dyn PackedWeights>,
-    n0: usize,
-    n1: usize,
+pub(crate) struct ShardView {
+    pub(crate) inner: Arc<dyn PackedWeights>,
+    pub(crate) n0: usize,
+    pub(crate) n1: usize,
 }
 
 impl PackedWeights for ShardView {
@@ -94,16 +94,12 @@ impl PackedWeights for ShardView {
         &self.inner.channel_scales()[self.n0..self.n1]
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        self.inner.rows_words(self.n0 + r0, self.n0 + r1)
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        self.inner.group_words(self.n0 + row, g)
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
         self.inner.dequant_row_group(self.n0 + row, g, out);
-    }
-
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        self.inner.tile_dequant(self.n0 + j0, self.n0 + j1)
     }
 
     fn weight_bytes(&self) -> usize {
@@ -114,14 +110,12 @@ impl PackedWeights for ShardView {
 }
 
 /// Row-parallel (K-slice) view over a shared pack: quant groups
-/// `[g0, g0 + groups)` of every row. `rows_words` still hands out
-/// *full* packed rows (so the staged loop's words-per-row geometry is
-/// unchanged); the wrapped [`TileDequant`] offsets every group index
-/// by `g0`, which is where the slice actually happens.
-struct KShardView {
-    inner: Arc<dyn PackedWeights>,
-    g0: usize,
-    groups: usize,
+/// `[g0, g0 + groups)` of every row — every `(row, group)` access is
+/// the inner one with the group index offset by `g0`.
+pub(crate) struct KShardView {
+    pub(crate) inner: Arc<dyn PackedWeights>,
+    pub(crate) g0: usize,
+    pub(crate) groups: usize,
 }
 
 impl PackedWeights for KShardView {
@@ -145,51 +139,17 @@ impl PackedWeights for KShardView {
         self.inner.channel_scales()
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        self.inner.rows_words(r0, r1)
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        self.inner.group_words(row, self.g0 + g)
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
         self.inner.dequant_row_group(row, self.g0 + g, out);
     }
 
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        Box::new(KShardTile {
-            inner: self.inner.tile_dequant(j0, j1),
-            g0: self.g0,
-            k: self.k(),
-        })
-    }
-
     fn weight_bytes(&self) -> usize {
         let k = self.inner.k().max(1);
         self.inner.weight_bytes() * self.k() / k
-    }
-}
-
-/// [`TileDequant`] wrapper that shifts group indices by the K-slice
-/// offset and reports the slice length as `k()`.
-struct KShardTile {
-    inner: Box<dyn TileDequant>,
-    g0: usize,
-    k: usize,
-}
-
-impl TileDequant for KShardTile {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn group(&self) -> usize {
-        self.inner.group()
-    }
-
-    fn channel_scales(&self) -> &[f32] {
-        self.inner.channel_scales()
-    }
-
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]) {
-        self.inner.dequant_group(words, j_rel, self.g0 + g, out);
     }
 }
 
@@ -495,8 +455,8 @@ impl ShardedGemm {
     /// by exact integer summation, and the activation/channel epilogue
     /// runs once on the full sums — bit-exact vs the unsharded kernel.
     ///
-    /// Runs the ordinary flat driver with the exact-sum sink on every
-    /// shard pool (pipeline choice does not apply: there is no
+    /// Runs the ordinary fused-job driver with the exact-sum sink on
+    /// every shard pool (pipeline choice does not apply: there is no
     /// per-shard epilogue to overlap).
     ///
     /// # Errors
@@ -547,17 +507,17 @@ impl ShardedGemm {
                         // shard; per-token scales stay K-global and are
                         // applied once after the reduce.
                         let xs = Mat::from_fn(m, ks, |r, c| x.row(r)[k0 + c]);
-                        let view = KShardView {
+                        let view = Arc::new(KShardView {
                             inner: packed,
                             g0,
                             groups,
-                        };
+                        });
                         let lg = &self.shards[s].gemm;
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             drive(
                                 lg.pool(),
                                 &xs,
-                                &view,
+                                view,
                                 lg.config(),
                                 KernelKind::FlatParallel,
                                 "flat_raw",

@@ -1,20 +1,17 @@
 //! In-tree bounded MPMC channel (std `Mutex` + `Condvar`), the
 //! crossbeam replacement the pipelines run on.
 //!
-//! The offline build sandbox has no crates.io access, so the SMEM-ring
-//! hand-offs in [`crate::pipeline`] use this ~150-line channel instead
-//! of `crossbeam::channel`. Semantics match what the pipelines need:
+//! The offline build sandbox has no crates.io access, so the per-call
+//! reply path in [`crate::pipeline`] uses this ~100-line channel
+//! instead of `crossbeam::channel`. Semantics match what the pipelines
+//! need:
 //!
-//! * bounded capacity (the "SMEM stage" count) with blocking
-//!   `send`/`recv` and non-blocking `try_send`/`try_recv` — the `try_*`
-//!   variants let callers count *would-block* events, which is exactly
-//!   the pipeline-stall signal `lq-telemetry` exports;
+//! * bounded capacity with blocking `send`/`recv`;
 //! * disconnect detection: `send` fails once every `Receiver` is gone,
-//!   `recv` fails once the queue is empty and every `Sender` is gone;
-//! * `len()` for queue-occupancy gauges.
+//!   `recv` fails once the queue is empty and every `Sender` is gone.
 //!
 //! This is a convoy-prone lock-based queue, not a performance channel —
-//! hand-offs here are per *task* (hundreds of rows of weights), so the
+//! hand-offs here are per *task* (one finished output tile), so the
 //! lock cost is noise. Do not use it for per-element traffic.
 
 use std::collections::VecDeque;
@@ -25,28 +22,10 @@ use std::sync::{Arc, Condvar, Mutex};
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// Error returned by [`Sender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The queue is at capacity (would block).
-    Full(T),
-    /// All receivers are gone.
-    Disconnected(T),
-}
-
 /// Error returned by [`Receiver::recv`] when the queue is empty and all
 /// senders are gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Error returned by [`Receiver::try_recv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The queue is currently empty (would block).
-    Empty,
-    /// The queue is empty and all senders are gone.
-    Disconnected,
-}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -113,38 +92,6 @@ impl<T> Sender<T> {
             st = self.shared.not_full.wait(st).expect("channel poisoned");
         }
     }
-
-    /// Enqueue only if there is room right now.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut st = self.shared.state.lock().expect("channel poisoned");
-        if st.receivers == 0 {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if st.queue.len() >= self.shared.cap {
-            return Err(TrySendError::Full(value));
-        }
-        st.queue.push_back(value);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Items currently queued (racy; for occupancy gauges).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("channel poisoned")
-            .queue
-            .len()
-    }
-
-    /// Whether the queue is currently empty (racy).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -184,43 +131,6 @@ impl<T> Receiver<T> {
             st = self.shared.not_empty.wait(st).expect("channel poisoned");
         }
     }
-
-    /// Dequeue only if an item is available right now.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = self.shared.state.lock().expect("channel poisoned");
-        if let Some(v) = st.queue.pop_front() {
-            drop(st);
-            self.shared.not_full.notify_one();
-            return Ok(v);
-        }
-        if st.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    /// Blocking iterator over received items, ending at disconnect.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(move || self.recv().ok())
-    }
-
-    /// Items currently queued (racy; for occupancy gauges).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("channel poisoned")
-            .queue
-            .len()
-    }
-
-    /// Whether the queue is currently empty (racy).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -257,13 +167,10 @@ mod tests {
         for i in 0..4 {
             tx.send(i).unwrap();
         }
-        assert_eq!(tx.len(), 4);
-        assert_eq!(tx.try_send(9), Err(TrySendError::Full(9)));
         assert_eq!(
             (0..4).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 
     #[test]
@@ -276,7 +183,6 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Kernel-layer telemetry: the metric families the pipelines record
-//! and the stall-counting channel wrappers.
+//! Kernel-layer telemetry: the metric families the pipelines record.
 //!
 //! All handles are resolved from the global [`lq_telemetry`] registry
 //! once per GEMM call — and only when recording is enabled, so the
 //! disabled path costs one relaxed load per call (the "noop recorder").
 //!
-//! Exported families (labeled `variant="flat"|"excp"|"imfp"` and
-//! `backend="lqq"|"qoq"|"lut"|"codebook"` — the [`lq_quant::BackendId`]
-//! the call dispatched to, so per-backend counters and histograms never
-//! alias):
+//! Exported families, labeled `variant="serial"|"flat"|"excp"|"imfp"`
+//! (a `serial` call runs no pool tasks and records `lq_gemm_ns` only)
+//! and `backend="lqq"|"qoq"|"lut"|"codebook"` — the
+//! [`lq_quant::BackendId`] the call dispatched to, so per-backend
+//! counters and histograms never alias:
 //!
 //! | metric | kind | meaning |
 //! |--------|------|---------|
 //! | `lq_gemm_ns` | histogram | whole-call wall-clock latency |
 //! | `lq_pipeline_task_ns{role}` | histogram | per-task span in each role |
-//! | `lq_pipeline_stall_total{role="load"}` | counter | would-block events on the stage ring (the CPU analog of a warp-group stall) |
 //! | `lq_pipeline_tasks_total` | counter | tasks executed |
 //! | `lq_pipeline_queue_depth{queue="task"}` | gauge | queued-job count after each submit |
 //!
@@ -30,25 +29,22 @@
 //! | `lq_pool_worker_restarts_total` | counter | worker threads quarantined and respawned after a job panic |
 //! | `lq_pool_job_retries_total` | counter | panicked jobs requeued for another attempt (0 in any fault-free run — the CI smoke bench gates on it) |
 //!
-//! Roles mirror the paper's warp groups: `load` is the staging caller
-//! (TMA), `compute` the fused dequant+MMA job (Flat/ImFP),
-//! `dequant`/`mma` the split ExCP job halves. The `dequant` and `mma`
-//! series are registered *only* for the `excp` variant — the only one
-//! whose pipeline has those roles — so exports never carry dead
-//! always-zero series for `flat`/`imfp`.
+//! Roles mirror the paper's compute warp groups: `compute` is the
+//! fused dequant+MMA job (Flat/ImFP), `dequant`/`mma` the split ExCP
+//! job halves. (The Load role has no span: the producer only enqueues
+//! row ranges, and weight streaming is the cache hierarchy's.) The
+//! `dequant` and `mma` series are registered *only* for the `excp`
+//! variant — the only one whose pipeline has those roles — so exports
+//! never carry dead always-zero series for `flat`/`imfp`.
 
 use std::sync::Arc;
 
 use lq_telemetry::{registry, Counter, Gauge, Histogram, OwnedSpan};
 
-use crate::sync::{Receiver, RecvError, TryRecvError};
-
 /// Handles for one pipeline variant's metric families.
 pub(crate) struct PipeMetrics {
     pub tasks: Arc<Counter>,
-    pub stall_load: Arc<Counter>,
     pub depth_task: Arc<Gauge>,
-    pub task_ns_load: Arc<Histogram>,
     pub task_ns_compute: Arc<Histogram>,
     /// ExCP only — `flat`/`imfp` have no dequant role, and registering
     /// the series there would export misleading always-zero histograms.
@@ -75,8 +71,6 @@ impl PipeMetrics {
         let split = variant == "excp";
         Some(Self {
             tasks: reg.counter_with("lq_pipeline_tasks_total", &v),
-            stall_load: reg
-                .counter_with("lq_pipeline_stall_total", &role(variant, backend, "load")),
             depth_task: reg.gauge_with(
                 "lq_pipeline_queue_depth",
                 &[
@@ -85,8 +79,6 @@ impl PipeMetrics {
                     ("queue", "task"),
                 ],
             ),
-            task_ns_load: reg
-                .histogram_with("lq_pipeline_task_ns", &role(variant, backend, "load")),
             task_ns_compute: reg
                 .histogram_with("lq_pipeline_task_ns", &role(variant, backend, "compute")),
             task_ns_dequant: split.then(|| {
@@ -155,21 +147,4 @@ pub(crate) fn call_span(variant: &str, backend: &str) -> Option<OwnedSpan> {
             .histogram_with("lq_gemm_ns", &[("variant", variant), ("backend", backend)])
             .span_owned()
     })
-}
-
-/// `recv` that counts a stall when it would block.
-pub(crate) fn recv_counting<T>(
-    rx: &Receiver<T>,
-    stall: Option<&Arc<Counter>>,
-) -> Result<T, RecvError> {
-    match rx.try_recv() {
-        Ok(v) => Ok(v),
-        Err(TryRecvError::Disconnected) => Err(RecvError),
-        Err(TryRecvError::Empty) => {
-            if let Some(c) = stall {
-                c.inc();
-            }
-            rx.recv()
-        }
-    }
 }

@@ -19,9 +19,9 @@ fn fixture(m: usize, n: usize, k: usize) -> (Mat<i8>, Vec<f32>, PackedLqqLinear)
 }
 
 /// Degenerate configurations must still complete and agree. The
-/// literals below are intentional: some sit *below* the builder's
-/// minimums (`stages: 1` serialises the ring) to prove the drivers
-/// clamp rather than hang; `task_rows > N` makes one giant task.
+/// literals below are intentional extremes: `task_rows: 1` makes one
+/// job per output channel, `task_rows > N` one giant task, and
+/// `workers` far from the pool's real size is ignored per call.
 #[test]
 fn degenerate_configs_terminate_and_agree() {
     let (x, s, w) = fixture(3, 10, 128);
@@ -32,25 +32,21 @@ fn degenerate_configs_terminate_and_agree() {
         ParallelConfig {
             workers: 1,
             task_rows: 1,
-            stages: 1,
             placement: PlacementPolicy::Unpinned,
         },
         ParallelConfig {
             workers: 8,
             task_rows: 100,
-            stages: 1,
             placement: PlacementPolicy::Unpinned,
         },
         ParallelConfig {
             workers: 2,
             task_rows: 1,
-            stages: 16,
             placement: PlacementPolicy::Unpinned,
         },
         ParallelConfig {
             workers: 16,
             task_rows: 3,
-            stages: 2,
             placement: PlacementPolicy::Unpinned,
         },
     ] {
@@ -97,7 +93,7 @@ fn channel_disconnect_prevents_send_deadlock() {
                 }
             });
             sc.spawn(move || {
-                for v in rx.iter() {
+                while let Ok(v) = rx.recv() {
                     assert!(v < 5, "injected failure at {v}");
                 }
             });
@@ -115,7 +111,6 @@ fn minimum_size_problem() {
     let lg = LiquidGemm::builder()
         .workers(4)
         .task_rows(8)
-        .stages(4)
         .build()
         .unwrap();
     let base = lg.gemm(&x, &s, &weights, KernelKind::Serial).y;
@@ -136,7 +131,6 @@ fn shared_weights_across_concurrent_gemms() {
         LiquidGemm::builder()
             .workers(2)
             .task_rows(5)
-            .stages(2)
             .build()
             .unwrap(),
     );

@@ -98,7 +98,6 @@ fn pipelines_equal_serial() {
         let lg = &pools[rng.range_usize(0, 2)];
         let cfg = ParallelConfig::builder()
             .task_rows(rng.range_usize(1, 9))
-            .stages(rng.range_usize(2, 5))
             .build()
             .expect("randomized config in valid range");
         let t = LqqTensor::quantize(&w_l1, 32);

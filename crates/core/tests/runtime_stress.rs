@@ -74,7 +74,6 @@ fn concurrent_mixed_gemms_bit_exact() {
         LiquidGemm::builder()
             .workers(4)
             .task_rows(5)
-            .stages(3)
             .build()
             .unwrap(),
     );

@@ -125,7 +125,6 @@ mod tests {
         let lg = LiquidGemm::builder()
             .workers(2)
             .task_rows(8)
-            .stages(2)
             .build()
             .unwrap();
         let a = ffn_forward(&w, &h, &lg, KernelKind::Serial);

@@ -79,14 +79,6 @@ impl DualMmaWeights {
         &self.words[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
-    /// Packed words of rows `[r0, r1)` as one contiguous slice — a weight
-    /// tile as transferred GMEM → SMEM by the Load WG.
-    #[must_use]
-    pub fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        assert!(r0 <= r1 && r1 <= self.n);
-        &self.words[r0 * self.words_per_row..r1 * self.words_per_row]
-    }
-
     /// Words covering `[k0, k1)` of one row (`k0`, `k1` multiples of 8).
     #[must_use]
     pub fn row_kslice(&self, row: usize, k0: usize, k1: usize) -> &[u32] {
@@ -203,7 +195,6 @@ mod tests {
         assert_eq!(w.row_words(1).len(), 4);
         assert_eq!(w.row_kslice(1, 8, 24).len(), 2);
         assert_eq!(w.row_kslice(1, 0, 32), w.row_words(1));
-        assert_eq!(w.rows_words(0, 3).len(), 12);
         // kslice aligns with full-row packing.
         assert_eq!(&w.row_words(2)[1..3], w.row_kslice(2, 8, 24));
     }

@@ -6,41 +6,37 @@
 //! Before this layer the dequant algorithm was a closed enum
 //! (`PackedW4A8 { Lqq, Qoq }`) baked into every pipeline driver, so a
 //! new quant scheme meant touching the enum, the serial kernel, all
-//! three pool drivers, and the benches. Now a scheme ships three
-//! things, all in this crate:
+//! three pool drivers, and the benches. Now a scheme ships two things,
+//! both in this crate:
 //!
 //! 1. a packed-weight container implementing [`PackedWeights`]
-//!    (streaming word access + per-row-group dequant),
-//! 2. a [`TileDequant`] object (the owned, `Send` recipe a pool job
-//!    carries so it needs no borrow of the weight matrix), and
-//! 3. a unit-struct [`KernelBackend`] registered in [`registry`]
+//!    (per-row-group word access + per-row-group dequant), and
+//! 2. a unit-struct [`KernelBackend`] registered in [`registry`]
 //!    (offline pack entry point + [`BackendCost`] descriptor for the
 //!    `lq-sim` cost model).
 //!
 //! The kernels themselves are backend-agnostic: any implementation
 //! that fills the same INT8 tile bytes is bit-identical to the serial
 //! reference, because accumulation is exact i32 and the epilogue order
-//! is fixed. Word-stream geometry is backend-defined — `rows_words`
-//! only promises that the slice for rows `[r0, r1)` is what the
-//! matching [`TileDequant`] expects, so a backend with a different
-//! words-per-row (e.g. the codebook's four-index words) flows through
-//! the staging ring unchanged.
+//! is fixed. Packed weights are shared, never copied: the serial
+//! kernel borrows them and a pool tile job holds the same
+//! `Arc<dyn PackedWeights>` plus a row range, so
+//! [`PackedWeights::dequant_row_group`] is the one place a backend's
+//! words become INT8. Word-stream geometry stays backend-private
+//! (e.g. the codebook's four-index words) — kernels address weights
+//! only by `(row, group)`.
 //!
 //! Object safety: both traits avoid generics and `Self`-returning
-//! methods; [`TileDequant::materialize`] is a provided method (the
-//! ExCP "write the tile back to SMEM" stage) so backends override it
-//! only if they can materialise faster than group-by-group.
+//! methods.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::codebook::CodebookGemmBackend;
 use crate::dequant::{dequant_group_lqq, dequant_group_qoq};
-use crate::lqq::LqqGroup;
 use crate::lut::LutDequantBackend;
 use crate::mat::Mat;
 use crate::packed::{PackedLqqLinear, PackedQoqLinear};
-use crate::qoq::QoqGroup;
 
 /// Largest supported quantization group (elements along K). Kernels
 /// size stack buffers with this, so packers must reject bigger groups.
@@ -116,46 +112,10 @@ pub struct BackendCost {
     pub bit_exact: bool,
 }
 
-/// Owned dequant recipe for one tile of rows: everything a pool worker
-/// needs to turn the staged word stream back into INT8, with no borrow
-/// of the weight matrix. `Send` so it can cross the injector queue.
-pub trait TileDequant: Send {
-    /// Reduction dim (elements per row).
-    fn k(&self) -> usize;
-
-    /// Quantization group size (elements).
-    fn group(&self) -> usize;
-
-    /// Level-1 channel scales of the tile's rows (length = tile rows).
-    fn channel_scales(&self) -> &[f32];
-
-    /// Dequantize group `g` of tile-relative row `j_rel` from the
-    /// staged `words` (the slice `PackedWeights::rows_words` produced
-    /// for this tile) into `out` (length = group size).
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]);
-
-    /// ExCP stage 2: fully materialise the INT8 tile — the "write back
-    /// to SMEM" the paper identifies as ExCP's overhead. Returns the
-    /// tile, `k`, and the channel scales the MMA stage needs.
-    fn materialize(&self, words: &[u32], rows: usize) -> (Vec<i8>, usize, Vec<f32>) {
-        let mut buf = [0i8; MAX_GROUP];
-        let (k, group) = (self.k(), self.group());
-        let mut tile = vec![0i8; rows * k];
-        for j in 0..rows {
-            for g in 0..k / group {
-                self.dequant_group(words, j, g, &mut buf[..group]);
-                let dst = j * k + g * group;
-                tile[dst..dst + group].copy_from_slice(&buf[..group]);
-            }
-        }
-        (tile, k, self.channel_scales().to_vec())
-    }
-}
-
 /// The shared contract of packed W4A8 weights: shape and scale
-/// metadata, the streaming word view the Load stage copies, and the
-/// two dequant entry points (borrowing for serial/tiled kernels, owned
-/// [`TileDequant`] for pool jobs).
+/// metadata, and `(row, group)`-addressed access to the packed words —
+/// raw (for prefetch hints) and dequantized. `Send + Sync` so one
+/// `Arc` serves the serial kernel and every pool tile job alike.
 pub trait PackedWeights: Send + Sync {
     /// Which backend packed these weights.
     fn backend(&self) -> BackendId;
@@ -172,20 +132,17 @@ pub trait PackedWeights: Send + Sync {
     /// Level-1 per-channel scales (length `n`).
     fn channel_scales(&self) -> &[f32];
 
-    /// Packed words of rows `[r0, r1)` as one contiguous slice — the
-    /// tile the Load stage copies into a staging buffer. The per-row
-    /// word count is backend-defined; only the matching
-    /// [`TileDequant`] needs to understand the stream.
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32];
+    /// Packed words of group `g` of `row` — exactly the words
+    /// [`PackedWeights::dequant_row_group`] reads for the same
+    /// `(row, g)`. The word count is backend-defined; kernels only use
+    /// the slice as the address to software-prefetch.
+    fn group_words(&self, row: usize, g: usize) -> &[u32];
 
-    /// Dequantize group `g` of absolute row `row` into `out` (length =
-    /// group size) — the borrowing path the serial and tiled kernels
-    /// stream through.
+    /// Dequantize group `g` of `row` into `out` (length = group size)
+    /// — the single dequant entry point: the serial kernel, the pool's
+    /// fused Compute jobs and ExCP's materialise step all stream
+    /// through it.
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]);
-
-    /// Owned dequant recipe for rows `[j0, j1)` (group params and
-    /// channel scales copied out) for pool jobs.
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant>;
 
     /// Weight bytes (payload + metadata) — the serving simulator's
     /// memory model.
@@ -291,66 +248,6 @@ pub fn resolve(id: BackendId) -> &'static dyn KernelBackend {
         .expect("every BackendId has a registry entry")
 }
 
-/// Owned LQQ tile recipe (group params + channel scales copied out).
-struct LqqTile {
-    k: usize,
-    group: usize,
-    params: Vec<LqqGroup>,
-    channel_scales: Vec<f32>,
-}
-
-impl TileDequant for LqqTile {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn channel_scales(&self) -> &[f32] {
-        &self.channel_scales
-    }
-
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]) {
-        let wpr = self.k / 8;
-        let wpg = self.group / 8;
-        let off = j_rel * wpr + g * wpg;
-        let gpr = self.k / self.group;
-        dequant_group_lqq(&words[off..off + wpg], self.params[j_rel * gpr + g], out);
-    }
-}
-
-/// Owned QoQ tile recipe.
-struct QoqTile {
-    k: usize,
-    group: usize,
-    params: Vec<QoqGroup>,
-    channel_scales: Vec<f32>,
-}
-
-impl TileDequant for QoqTile {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn channel_scales(&self) -> &[f32] {
-        &self.channel_scales
-    }
-
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]) {
-        let wpr = self.k / 8;
-        let wpg = self.group / 8;
-        let off = j_rel * wpr + g * wpg;
-        let gpr = self.k / self.group;
-        dequant_group_qoq(&words[off..off + wpg], self.params[j_rel * gpr + g], out);
-    }
-}
-
 impl PackedWeights for PackedLqqLinear {
     fn backend(&self) -> BackendId {
         BackendId::Lqq
@@ -372,24 +269,12 @@ impl PackedWeights for PackedLqqLinear {
         &self.channel_scales
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        self.words.rows_words(r0, r1)
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        PackedLqqLinear::group_words(self, row, g)
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
         dequant_group_lqq(self.group_words(row, g), self.group_params(row, g), out);
-    }
-
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        let gpr = self.groups_per_row();
-        Box::new(LqqTile {
-            k: self.k,
-            group: self.group,
-            params: (j0..j1)
-                .flat_map(|j| (0..gpr).map(move |g| self.group_params(j, g)))
-                .collect(),
-            channel_scales: self.channel_scales[j0..j1].to_vec(),
-        })
     }
 
     fn weight_bytes(&self) -> usize {
@@ -418,24 +303,12 @@ impl PackedWeights for PackedQoqLinear {
         &self.channel_scales
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        self.words.rows_words(r0, r1)
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        PackedQoqLinear::group_words(self, row, g)
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
         dequant_group_qoq(self.group_words(row, g), self.group_params(row, g), out);
-    }
-
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        let gpr = self.groups_per_row();
-        Box::new(QoqTile {
-            k: self.k,
-            group: self.group,
-            params: (j0..j1)
-                .flat_map(|j| (0..gpr).map(move |g| self.group_params(j, g)))
-                .collect(),
-            channel_scales: self.channel_scales[j0..j1].to_vec(),
-        })
     }
 
     fn weight_bytes(&self) -> usize {
@@ -463,27 +336,6 @@ mod tests {
             assert_eq!(id.to_string(), id.label());
         }
         assert_eq!(BackendId::parse("nope"), None);
-    }
-
-    #[test]
-    fn tile_dequant_matches_row_dequant() {
-        let w = Mat::from_fn(12, 128, |r, c| ((r * 128 + c) as f32 * 0.13).sin());
-        for id in BackendId::all() {
-            let p = resolve(id).pack(&w, 64);
-            let (j0, j1) = (3, 9);
-            let tile = p.tile_dequant(j0, j1);
-            let words = p.rows_words(j0, j1).to_vec();
-            let group = p.group();
-            let mut via_tile = vec![0i8; group];
-            let mut via_row = vec![0i8; group];
-            for j in j0..j1 {
-                for g in 0..p.k() / group {
-                    tile.dequant_group(&words, j - j0, g, &mut via_tile);
-                    p.dequant_row_group(j, g, &mut via_row);
-                    assert_eq!(via_tile, via_row, "{id} row {j} group {g}");
-                }
-            }
-        }
     }
 
     #[test]

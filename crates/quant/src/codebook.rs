@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights, TileDequant};
+use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights};
 use crate::level1::{quantize_per_channel_i8, PROTECTIVE_MAX};
 use crate::mat::Mat;
 
@@ -127,7 +127,7 @@ fn dequant_words_codebook(words: &[u32], codebook: &[i8], out: &mut [i8]) {
 }
 
 /// Codebook-quantized W4A8 weights: per-channel level-1 scales, a
-/// shared `Arc`'d codebook, and one index word per 16 elements.
+/// matrix-global codebook, and one index word per 16 elements.
 #[derive(Debug, Clone)]
 pub struct PackedCodebookLinear {
     /// Output channels.
@@ -139,9 +139,8 @@ pub struct PackedCodebookLinear {
     pub group: usize,
     /// Index words, `n × k/16` row-major, four u8 indices per word.
     words: Vec<u32>,
-    /// Shared `CB_SIZE × CB_DIM` codebook (cloned into tile recipes by
-    /// reference count, not by copy).
-    codebook: Arc<[i8]>,
+    /// Matrix-global `CB_SIZE × CB_DIM` codebook.
+    codebook: Vec<i8>,
     /// Level-1 per-channel scales (length `n`).
     pub channel_scales: Vec<f32>,
 }
@@ -195,7 +194,7 @@ impl PackedCodebookLinear {
             k,
             group,
             words,
-            codebook: Arc::from(codebook),
+            codebook,
             channel_scales: l1.scales.iter().map(|s| s.scale).collect(),
         }
     }
@@ -243,60 +242,18 @@ impl PackedWeights for PackedCodebookLinear {
         &self.channel_scales
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        assert!(r0 <= r1 && r1 <= self.n);
-        let wpr = self.words_per_row();
-        &self.words[r0 * wpr..r1 * wpr]
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        let wpg = self.group / CB_ELEMS_PER_WORD;
+        let off = row * self.words_per_row() + g * wpg;
+        &self.words[off..off + wpg]
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        let wpr = self.words_per_row();
-        let wpg = self.group / CB_ELEMS_PER_WORD;
-        let off = row * wpr + g * wpg;
-        dequant_words_codebook(&self.words[off..off + wpg], &self.codebook, out);
-    }
-
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        Box::new(CodebookTile {
-            k: self.k,
-            group: self.group,
-            codebook: Arc::clone(&self.codebook),
-            channel_scales: self.channel_scales[j0..j1].to_vec(),
-        })
+        dequant_words_codebook(self.group_words(row, g), &self.codebook, out);
     }
 
     fn weight_bytes(&self) -> usize {
         self.words.len() * 4 + self.codebook.len() + self.channel_scales.len() * 4
-    }
-}
-
-/// Owned codebook tile recipe: an `Arc` clone of the shared codebook
-/// plus the tile's channel scales.
-struct CodebookTile {
-    k: usize,
-    group: usize,
-    codebook: Arc<[i8]>,
-    channel_scales: Vec<f32>,
-}
-
-impl TileDequant for CodebookTile {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn channel_scales(&self) -> &[f32] {
-        &self.channel_scales
-    }
-
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]) {
-        let wpr = self.k / CB_ELEMS_PER_WORD;
-        let wpg = self.group / CB_ELEMS_PER_WORD;
-        let off = j_rel * wpr + g * wpg;
-        dequant_words_codebook(&words[off..off + wpg], &self.codebook, out);
     }
 }
 
@@ -344,23 +301,6 @@ mod tests {
         let b = PackedCodebookLinear::quantize(&w, 64);
         assert_eq!(a.words, b.words);
         assert_eq!(a.codebook(), b.codebook());
-    }
-
-    #[test]
-    fn row_group_and_tile_paths_agree() {
-        let w = weights(12, 96);
-        let p = PackedCodebookLinear::quantize(&w, 32);
-        let tile = p.tile_dequant(2, 10);
-        let words = PackedWeights::rows_words(&p, 2, 10).to_vec();
-        let mut via_tile = vec![0i8; 32];
-        let mut via_row = vec![0i8; 32];
-        for j in 2..10 {
-            for g in 0..3 {
-                tile.dequant_group(&words, j - 2, g, &mut via_tile);
-                p.dequant_row_group(j, g, &mut via_row);
-                assert_eq!(via_tile, via_row, "row {j} group {g}");
-            }
-        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! * [`metrics`] — quantization-error metrics (MSE, SQNR, max-abs,
 //!   cosine) used by the accuracy harness.
 //! * [`backend`] — the pluggable kernel-backend layer: the
-//!   [`backend::KernelBackend`] / [`backend::PackedWeights`] /
-//!   [`backend::TileDequant`] traits and the [`backend::BackendId`]-keyed
-//!   registry every kernel dispatches through.
+//!   [`backend::KernelBackend`] / [`backend::PackedWeights`] traits and
+//!   the [`backend::BackendId`]-keyed registry every kernel dispatches
+//!   through.
 //! * [`dequant`] — the uncounted hot-loop SWAR group dequantization the
 //!   LQQ/QoQ backends and kernels share.
 //! * [`packed`] — dual-MMA-packed weight containers for the LQQ and QoQ
@@ -60,9 +60,7 @@ pub mod w4f16;
 pub mod weights;
 
 pub use act::{quantize_token, QuantizedActivations};
-pub use backend::{
-    registry, resolve, BackendCost, BackendId, KernelBackend, PackedWeights, TileDequant,
-};
+pub use backend::{registry, resolve, BackendCost, BackendId, KernelBackend, PackedWeights};
 pub use codebook::PackedCodebookLinear;
 pub use level1::{quantize_per_channel_i8, ChannelScale, PROTECTIVE_MAX};
 pub use lqq::{LqqGroup, LqqTensor};

@@ -20,9 +20,7 @@ use std::sync::Arc;
 
 use lq_layout::dual_mma::DualMmaWeights;
 
-use crate::backend::{
-    BackendCost, BackendId, KernelBackend, PackedWeights, TileDequant, MAX_GROUP,
-};
+use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights, MAX_GROUP};
 use crate::lqq::{LqqGroup, LqqTensor};
 use crate::mat::Mat;
 use crate::weights::{Level2, QuantScheme, QuantizedLinear};
@@ -144,59 +142,17 @@ impl PackedWeights for PackedLutLinear {
         &self.channel_scales
     }
 
-    fn rows_words(&self, r0: usize, r1: usize) -> &[u32] {
-        self.words.rows_words(r0, r1)
+    fn group_words(&self, row: usize, g: usize) -> &[u32] {
+        self.words
+            .row_kslice(row, g * self.group, (g + 1) * self.group)
     }
 
     fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        let words = self
-            .words
-            .row_kslice(row, g * self.group, (g + 1) * self.group);
-        dequant_group_lut(words, self.table(row, g), out);
-    }
-
-    fn tile_dequant(&self, j0: usize, j1: usize) -> Box<dyn TileDequant> {
-        let gpr = self.groups_per_row();
-        Box::new(LutTile {
-            k: self.k,
-            group: self.group,
-            tables: self.tables[j0 * gpr..j1 * gpr].to_vec(),
-            channel_scales: self.channel_scales[j0..j1].to_vec(),
-        })
+        dequant_group_lut(self.group_words(row, g), self.table(row, g), out);
     }
 
     fn weight_bytes(&self) -> usize {
         self.words.packed_bytes() + self.tables.len() * 16 + self.channel_scales.len() * 4
-    }
-}
-
-/// Owned LUT tile recipe: the tables of the tile's rows, copied out.
-struct LutTile {
-    k: usize,
-    group: usize,
-    tables: Vec<[i8; 16]>,
-    channel_scales: Vec<f32>,
-}
-
-impl TileDequant for LutTile {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn channel_scales(&self) -> &[f32] {
-        &self.channel_scales
-    }
-
-    fn dequant_group(&self, words: &[u32], j_rel: usize, g: usize, out: &mut [i8]) {
-        let wpr = self.k / 8;
-        let wpg = self.group / 8;
-        let off = j_rel * wpr + g * wpg;
-        let gpr = self.k / self.group;
-        dequant_group_lut(&words[off..off + wpg], &self.tables[j_rel * gpr + g], out);
     }
 }
 

@@ -1,9 +1,8 @@
 //! Backend-conformance harness: every entry in the kernel-backend
-//! registry must satisfy the shared [`PackedWeights`] /
-//! [`TileDequant`] contract, and the differential guarantees the
-//! backends advertise (`bit_exact` vs the SWAR reference, SQNR-bounded
-//! otherwise) must hold on seeded ragged shapes and adversarial
-//! inputs.
+//! registry must satisfy the shared [`PackedWeights`] contract, and
+//! the differential guarantees the backends advertise (`bit_exact` vs
+//! the SWAR reference, SQNR-bounded otherwise) must hold on seeded
+//! ragged shapes and adversarial inputs.
 
 use lq_quant::backend::{registry, resolve, BackendId, PackedWeights};
 use lq_quant::dequant::dequant_group_lqq;
@@ -12,7 +11,8 @@ use lq_quant::lut::group_lut;
 use lq_quant::mat::Mat;
 use lq_quant::metrics::error_stats;
 use lq_quant::packed::PackedLqqLinear;
-use lq_quant::PackedLutLinear;
+use lq_quant::weights::{QuantScheme, QuantizedLinear};
+use lq_quant::{PackedCodebookLinear, PackedLutLinear};
 use lq_rng::Rng;
 
 fn random_weights(rng: &mut Rng, n: usize, k: usize) -> Mat<f32> {
@@ -94,11 +94,14 @@ fn every_backend_packs_ragged_shapes() {
     }
 }
 
-/// The owned tile recipe must reproduce the borrowing dequant path
-/// byte-for-byte for every backend, on every tile of a seeded shape —
-/// this is what makes pool jobs interchangeable with serial kernels.
+/// `dequant_row_group` — the one dequant entry point, which the serial
+/// kernel and every pool job stream through — reproduces the offline
+/// quantizer's INT8 reconstruction byte-for-byte on seeded shapes, for
+/// every backend that has such an oracle (the codebook backend's
+/// reference is its own whole-row `dequantize`, checked below), and
+/// `group_words` hands out the words of exactly one group.
 #[test]
-fn tile_dequant_matches_row_dequant_for_every_backend() {
+fn row_dequant_matches_quantizer_oracle_for_every_backend() {
     let mut rng = Rng::new(0xC0_4F02);
     for _ in 0..4 {
         let n = rng.range_usize(3, 24);
@@ -107,41 +110,27 @@ fn tile_dequant_matches_row_dequant_for_every_backend() {
         for backend in registry() {
             let id = backend.id();
             let p = backend.pack(&wf, 64);
-            let gpr = k / 64;
-            // A ragged interior tile plus the full-matrix tile.
-            let j0 = rng.range_usize(0, n - 1);
-            let j1 = rng.range_usize(j0 + 1, n + 1);
-            for (t0, t1) in [(j0, j1), (0, n)] {
-                let tile = p.tile_dequant(t0, t1);
-                assert_eq!((tile.k(), tile.group()), (k, 64), "{id}");
-                assert_eq!(
-                    tile.channel_scales(),
-                    &p.channel_scales()[t0..t1],
-                    "{id}: tile scales must be the rows' slice"
-                );
-                let words = p.rows_words(t0, t1);
-                let mut via_tile = vec![0i8; 64];
-                let mut via_row = vec![0i8; 64];
-                for j in 0..t1 - t0 {
-                    for g in 0..gpr {
-                        tile.dequant_group(words, j, g, &mut via_tile);
-                        p.dequant_row_group(t0 + j, g, &mut via_row);
-                        assert_eq!(via_tile, via_row, "{id} row {} group {g}", t0 + j);
-                    }
-                }
-                // The provided materialize (ExCP stage 2) agrees too.
-                let (mat, mk, scales) = tile.materialize(words, t1 - t0);
-                assert_eq!(mk, k, "{id}");
-                assert_eq!(scales, p.channel_scales()[t0..t1].to_vec(), "{id}");
-                for j in 0..t1 - t0 {
-                    for g in 0..gpr {
-                        p.dequant_row_group(t0 + j, g, &mut via_row);
-                        let off = j * k + g * 64;
-                        assert_eq!(&mat[off..off + 64], &via_row[..], "{id} row {j}");
+            let oracle = match id {
+                BackendId::Lqq | BackendId::Lut => Some(QuantScheme::Lqq),
+                BackendId::Qoq => Some(QuantScheme::Qoq),
+                BackendId::Codebook => None,
+            }
+            .map(|scheme| QuantizedLinear::quantize(&wf, 64, scheme, None).dequant_to_i8());
+            let words_per_group = p.group_words(0, 0).len();
+            let mut got = vec![0i8; 64];
+            for j in 0..n {
+                for g in 0..k / 64 {
+                    assert_eq!(p.group_words(j, g).len(), words_per_group, "{id}");
+                    p.dequant_row_group(j, g, &mut got);
+                    if let Some(want) = &oracle {
+                        let want = &want.row(j)[g * 64..(g + 1) * 64];
+                        assert_eq!(got, want, "{id} row {j} group {g}");
                     }
                 }
             }
         }
+        let cb = PackedCodebookLinear::quantize(&wf, 64);
+        assert_eq!(reconstruct(&cb).as_slice(), cb.dequantize().as_slice());
     }
 }
 

@@ -52,7 +52,6 @@
 //! | `JobRetry` | self-healing requeue | job id | attempt # |
 //! | `WorkerQuarantine` | self-healing | job id (0 = probe) | 0 |
 //! | `WorkerRespawn` | self-healing | 0 | 0 |
-//! | `StageLoad` | pipeline caller (span) | first output channel `j0` | 0 |
 //! | `StageCompute` | Flat/ImFP job (span) | `j0` | rows |
 //! | `StageDequant` | ExCP stage 2 (span) | `j0` | rows |
 //! | `StageMma` | ExCP stage 3 (span) | `j0` | rows |
@@ -104,7 +103,6 @@ pub enum EventKind {
     JobRetry,
     WorkerQuarantine,
     WorkerRespawn,
-    StageLoad,
     StageCompute,
     StageDequant,
     StageMma,
@@ -135,7 +133,6 @@ impl EventKind {
             EventKind::JobRetry => "job_retry",
             EventKind::WorkerQuarantine => "worker_quarantine",
             EventKind::WorkerRespawn => "worker_respawn",
-            EventKind::StageLoad => "load",
             EventKind::StageCompute => "compute",
             EventKind::StageDequant => "dequant",
             EventKind::StageMma => "mma",
@@ -163,7 +160,6 @@ impl EventKind {
         matches!(
             self,
             EventKind::JobFinish
-                | EventKind::StageLoad
                 | EventKind::StageCompute
                 | EventKind::StageDequant
                 | EventKind::StageMma

@@ -51,7 +51,6 @@ fn main() {
     // available parallelism.
     let lg = LiquidGemm::builder()
         .task_rows(16)
-        .stages(8)
         .build()
         .expect("valid config");
 

@@ -6,8 +6,8 @@
 //!
 //! The output demonstrates the three instrumented layers:
 //! * `lq-core` — per-variant call-latency histograms (`lq_gemm_ns`),
-//!   staging-span timings and load-stall counters from the pipeline
-//!   drivers, plus the persistent worker pool's own families:
+//!   per-role task-span timings and task counters from the pipeline
+//!   driver, plus the persistent worker pool's own families:
 //!   `lq_pool_queue_depth`, per-worker `lq_pool_jobs_total`,
 //!   `lq_pool_busy_ns_total`, and `lq_pool_job_ns`.
 //! * `lq-serving` — decode-step latency histogram (p50/p95/p99),
@@ -42,7 +42,6 @@ fn main() {
     let lg = LiquidGemm::builder()
         .workers(4)
         .task_rows(8)
-        .stages(8)
         .build()
         .expect("valid config");
     for _ in 0..4 {

@@ -285,11 +285,7 @@ fn pool_gemm_under_injected_panics_is_bit_exact_with_serial() {
     let w = Mat::from_fn(96, 384, |r, c| ((r * 384 + c) as f32 * 0.007).cos() * 0.5);
     let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
     let qa = QuantizedActivations::quantize(&x, None);
-    let cfg = ParallelConfig::builder()
-        .task_rows(4)
-        .stages(4)
-        .build()
-        .unwrap();
+    let cfg = ParallelConfig::builder().task_rows(4).build().unwrap();
 
     for seed in 0..12u64 {
         let inj = Arc::new(FaultInjector::new(FaultPlan::from_seed(seed)));

@@ -52,11 +52,7 @@ fn all_pipeline_variants_bit_identical_on_large_shape() {
     let qa = QuantizedActivations::quantize(&x, None);
     let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
     let lg = LiquidGemm::builder().workers(4).build().unwrap();
-    let cfg = ParallelConfig::builder()
-        .task_rows(7)
-        .stages(3)
-        .build()
-        .unwrap();
+    let cfg = ParallelConfig::builder().task_rows(7).build().unwrap();
     let base = lg
         .gemm_with(&qa.q, &qa.scales, &weights, KernelKind::Serial, cfg)
         .y;

@@ -89,9 +89,8 @@ fn pool_trace_every_start_has_a_matching_finish() {
     assert_eq!(started.len(), finished.len());
 
     // Stage spans exist for all three roles (flat/imfp → compute,
-    // excp → dequant + mma) plus the caller's load stage.
+    // excp → dequant + mma).
     for kind in [
-        tr::EventKind::StageLoad,
         tr::EventKind::StageCompute,
         tr::EventKind::StageDequant,
         tr::EventKind::StageMma,
