@@ -3,21 +3,20 @@
 //! pool-amortisation sweep: per-call worker spawn vs one persistent
 //! pool across decode-to-prefill batch sizes — the CPU-measured
 //! counterpart of the paper's persistent-kernel argument (§5.4) — and a
-//! pool-balance audit of the work-stealing scheduler (per-worker
-//! jobs/busy-ns/steals and the max/min busy-ns ratio).
+//! pool audit (per-worker tiles/busy-ns and the exact tile count).
 //!
 //! Plain main (no criterion: the sandbox is offline); `--json` dumps
 //! the telemetry registry to `BENCH_gemm_kernels.json`. `--smoke` runs
-//! the balance audit on tiny shapes once per registered dequant
-//! backend (each on a fresh 4-worker pool) and exits non-zero if any
-//! backend's busy-ns max/min ratio exceeds [`BALANCE_GATE`] — the
-//! release-mode CI gate for scheduler fairness regressions — if any
-//! worker ran zero jobs, or if a fault-free run records any job retry
-//! (retries may only come from the self-healing path, so a nonzero
-//! count here means a worker panicked spontaneously). With
-//! `--trace <path>` the smoke run also records scheduler events,
-//! writes a validated Chrome trace, and fails unless every worker
-//! traced at least one `job_start`.
+//! the pool audit on tiny shapes once per registered dequant backend
+//! (each on a fresh 4-worker pool) and exits non-zero unless the
+//! workers' tile counts sum to exactly calls × ⌈N / `task_rows`⌉ (every
+//! tile ran once — tiles go to whichever worker is free, so per-worker
+//! shares are not a property to gate on), or if a fault-free run
+//! records any job retry (retries may only come from the self-healing
+//! path, so a nonzero count here means a worker panicked
+//! spontaneously). With `--trace <path>` the smoke run also records
+//! scheduler events, writes a validated Chrome trace, and fails unless
+//! `job_start` and `job_finish` events pair up to that same count.
 
 use std::hint::black_box;
 
@@ -39,9 +38,9 @@ use lq_quant::mat::Mat;
 const N: usize = 512;
 const K: usize = 2048;
 
-/// Busy-ns max/min ratio above which `--smoke` fails the run: with
-/// round-robin placement plus stealing, workers should stay within 2×
-/// of each other even on a single hardware core.
+/// Busy-ns max/min ratio between *shard pools* above which `--smoke`
+/// fails the run: the static column plan hands each shard the same
+/// work, so the pools' totals should stay within 2× of each other.
 const BALANCE_GATE: f64 = 2.0;
 
 /// `--smoke` decode-latency gate: the freshly measured persistent-pool
@@ -152,23 +151,20 @@ fn pool_amortisation(weights: &W4A8Weights) {
     }
 }
 
-/// Drive `calls` ImFP GEMMs on a fresh 4-worker pool and audit how
-/// evenly the work-stealing scheduler spread them: per-worker
-/// jobs/busy-ns/steals from [`WorkerPool::worker_stats`], plus the
-/// max/min busy-ns ratio. The ratio lands in the `--json` dump as the
-/// `lq_pool_busy_balance_ratio` gauge so the committed snapshot records
-/// scheduler fairness alongside the steal counters. Also returns the
-/// total job-retry count — on a fault-free run it must be 0 (the
-/// `--smoke` gate).
+/// Drive `calls` ImFP GEMMs on a fresh 4-worker pool and print the
+/// per-worker tiles/busy-ns from [`WorkerPool::worker_stats`]. Returns
+/// the total tile count — exactly calls × ⌈N / `task_rows`⌉ the moment
+/// the last `gemm` returns — and the total job-retry count, which on a
+/// fault-free run must be 0 (both `--smoke` gates).
 ///
 /// [`WorkerPool::worker_stats`]: lq_core::runtime::WorkerPool::worker_stats
-fn pool_balance(
+fn pool_audit(
     weights: &W4A8Weights,
     k: usize,
     m: usize,
     task_rows: usize,
     calls: usize,
-) -> (f64, u64, u64) {
+) -> (u64, u64) {
     let backend = weights.backend().label();
     let lg = LiquidGemm::builder()
         .workers(4)
@@ -182,14 +178,13 @@ fn pool_balance(
     }
     let stats = lg.pool().worker_stats();
     println!(
-        "\npool_balance (backend={backend}, M={m} K={k}, task_rows={task_rows}, \
+        "\npool_audit (backend={backend}, M={m} K={k}, task_rows={task_rows}, \
          {calls} ImFP calls, 4 workers)"
     );
     print_header(&[
         ("worker", 6),
         ("jobs", 8),
         ("busy", 10),
-        ("steals", 8),
         ("restarts", 9),
         ("retries", 8),
         ("pinned", 7),
@@ -199,22 +194,16 @@ fn pool_balance(
             (id.to_string(), 6),
             (s.jobs.to_string(), 8),
             (fmt_time(s.busy_ns as f64 * 1e-9), 10),
-            (s.steals.to_string(), 8),
             (s.restarts.to_string(), 9),
             (s.retries.to_string(), 8),
             (s.pinned_cpu.map_or("-".into(), |c| format!("cpu{c}")), 7),
         ]);
     }
-    let max = stats.iter().map(|s| s.busy_ns).max().unwrap_or(0);
-    let min = stats.iter().map(|s| s.busy_ns).min().unwrap_or(0).max(1);
-    let ratio = max as f64 / min as f64;
+    let jobs: u64 = stats.iter().map(|s| s.jobs).sum();
     let retries: u64 = stats.iter().map(|s| s.retries).sum();
-    let min_jobs = stats.iter().map(|s| s.jobs).min().unwrap_or(0);
-    println!("busy-ns max/min ratio: {ratio:.2} (gate: {BALANCE_GATE:.1}), retries: {retries}");
-    lq_telemetry::registry()
-        .gauge_with("lq_pool_busy_balance_ratio", &[("backend", backend)])
-        .set(ratio);
-    (ratio, retries, min_jobs)
+    let active = stats.iter().filter(|s| s.jobs > 0).count();
+    println!("tiles: {jobs} on {active} active workers, retries: {retries}");
+    (jobs, retries)
 }
 
 /// `--smoke` sharded gate (DESIGN.md §14): on a tiny shape, a 2-shard
@@ -408,21 +397,17 @@ fn main() {
             std::process::exit(1);
         }
         // CI smoke gate: tiny shapes so the whole run is sub-second in
-        // release mode, but enough calls that every worker sees work —
-        // once per registered dequant backend, each on a fresh pool.
-        let w = Mat::from_fn(128, 256, |r, c| ((r * 256 + c) as f32 * 0.11).sin());
+        // release mode — once per registered dequant backend, each on a
+        // fresh pool.
+        let (smoke_n, smoke_rows, smoke_calls) = (128usize, 2, 64);
+        let want_tiles = (smoke_calls * smoke_n.div_ceil(smoke_rows)) as u64;
+        let w = Mat::from_fn(smoke_n, 256, |r, c| ((r * 256 + c) as f32 * 0.11).sin());
         for backend in registry() {
             let id = backend.id();
             let weights = W4A8Weights::quantize(&w, 64, id);
-            let (ratio, retries, min_jobs) = pool_balance(&weights, 256, 8, 2, 64);
-            if ratio > BALANCE_GATE {
-                eprintln!(
-                    "FAIL[{id}]: busy-ns max/min ratio {ratio:.2} exceeds gate {BALANCE_GATE:.1}"
-                );
-                std::process::exit(1);
-            }
-            if min_jobs == 0 {
-                eprintln!("FAIL[{id}]: a worker ran zero jobs in the smoke run");
+            let (tiles, retries) = pool_audit(&weights, 256, 8, smoke_rows, smoke_calls);
+            if tiles != want_tiles {
+                eprintln!("FAIL[{id}]: workers ran {tiles} tiles, the calls had {want_tiles}");
                 std::process::exit(1);
             }
             if retries != 0 {
@@ -433,7 +418,28 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // The balance runs above dispatched real GEMMs; the dispatch
+        if trace.active() {
+            // Trace-smoke gate: the exported Chrome JSON must validate
+            // (flush panics otherwise) and every tile of the audit runs
+            // above must have left one job_start and one job_finish.
+            // Flushed here so the count covers exactly those runs.
+            let events = trace.flush();
+            let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+            let starts = count(lq_trace::EventKind::JobStart);
+            let finishes = count(lq_trace::EventKind::JobFinish);
+            let want = registry().len() as u64 * want_tiles;
+            if starts != finishes || (lq_trace::dropped_total() == 0 && starts != want) {
+                eprintln!(
+                    "FAIL: traced {starts} job_start / {finishes} job_finish for {want} tiles"
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "trace smoke OK: {} events, {starts} job starts paired with finishes",
+                events.len()
+            );
+        }
+        // The audit runs above dispatched real GEMMs; the dispatch
         // counters must show the selected variant actually executed.
         if !dispatch_counts()
             .iter()
@@ -460,32 +466,6 @@ fn main() {
             println!("decode_m1 gate skipped (LQ_FORCE_SCALAR)");
         } else {
             run_decode_gate(decode_baseline);
-        }
-        if trace.active() {
-            // Trace-smoke gate: the exported Chrome JSON must validate
-            // (flush panics otherwise) and every pool worker must have
-            // recorded at least one job_start — round-robin placement
-            // guarantees all four see work on a 256-job run.
-            let events = trace.flush();
-            let mut active = std::collections::BTreeSet::new();
-            for ev in &events {
-                if ev.kind == lq_trace::EventKind::JobStart {
-                    if let lq_trace::Track::Worker(w) = ev.track {
-                        active.insert(w);
-                    }
-                }
-            }
-            for w in 0..4u32 {
-                if !active.contains(&w) {
-                    eprintln!("FAIL: worker {w} recorded no job_start in the traced smoke run");
-                    std::process::exit(1);
-                }
-            }
-            println!(
-                "trace smoke OK: {} events, job starts on all {} workers",
-                events.len(),
-                active.len()
-            );
         }
         println!("smoke OK");
         return;
@@ -591,5 +571,5 @@ fn main() {
     sharded_sweep();
 
     pool_amortisation(&weights);
-    let _ = pool_balance(&weights, K, 64, 16, 24);
+    let _ = pool_audit(&weights, K, 64, 16, 24);
 }

@@ -26,7 +26,7 @@
 //! | site | consulted by | effect |
 //! |------|--------------|--------|
 //! | worker job | pool worker, before executing a fresh job | panic mid-job or stall for a scheduled duration |
-//! | submit | `WorkerPool::submit`, before the capacity gate | stall the submitter (models an injector-full burst) |
+//! | submit | `WorkerPool::run`, once per published call | stall the caller (models a burst upstream of the pool) |
 //! | KV alloc | `PagedKvCache` page allocation | deny with `OutOfMemory` |
 //! | engine call | test engines' prefill/decode entry | request a panic (exercises the runtime's `try_*` containment) |
 //! | replica step | `lq-router` replica scheduler loop | halt the whole replica at a scheduled decode step (router failover) |

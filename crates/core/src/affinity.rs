@@ -31,8 +31,8 @@ pub enum PlacementPolicy {
     Unpinned,
     /// Pin worker `i` to the `i`-th allowed CPU, wrapping. Packs
     /// workers onto adjacent CPUs, which keeps sibling workers sharing
-    /// L2/L3 — best when a stolen ExCP Mma job re-reads the tile a
-    /// sibling's Dequant job wrote.
+    /// L2/L3 — best when neighbouring tiles of one call share
+    /// activation panels and adjacent weight rows.
     Compact,
     /// Spread workers evenly across the allowed-CPU list. Maximizes
     /// per-worker cache/bandwidth share — best for flat data-parallel

@@ -27,11 +27,13 @@ pub enum KernelKind {
     /// callers select it: the row-parallel shard path (its `flat_raw`
     /// telemetry series) and the ledger's `core.flat_layer_ms_*` probes.
     FlatParallel,
-    /// Explicit coarse-grained pipeline: Load / Dequant / MMA roles.
+    /// Explicit coarse-grained pipeline: each tile materialises its
+    /// whole INT8 intermediate (Dequant role), then re-reads it (MMA
+    /// role).
     ExCp,
-    /// Implicit fine-grained pipeline: one producer streaming tile
-    /// descriptors + fused dequant-MMA consumers (the paper's
-    /// LiquidGEMM configuration).
+    /// Implicit fine-grained pipeline: one producer publishing the
+    /// call + fused dequant-MMA consumers pulling its tiles (the
+    /// paper's LiquidGEMM configuration).
     ImFp,
 }
 

@@ -7,8 +7,8 @@
 //! groups.
 //!
 //! On this CPU reproduction, warp groups become threads, the Load WG
-//! becomes the submitting caller streaming tile descriptors, SMEM
-//! stages become the pool's bounded job queue, TMA becomes the cache
+//! becomes the calling thread publishing the call, SMEM stages have no
+//! counterpart (a published call is O(1) state), TMA becomes the cache
 //! hierarchy plus a software prefetch one K block ahead (weights are
 //! read in place from one shared `Arc`, never staged), and the
 //! tensor-core MMA becomes a blocked `i8×i8→i32` microkernel. The
@@ -34,21 +34,20 @@
 //! * [`epilogue`] — the strip loop's output sinks (fused f32 scale
 //!   application, or exact integer sums) and the `(W·Xᵀ)ᵀ` helpers.
 //! * [`runtime`] — the persistent worker pool (the paper's §5.4
-//!   persistent kernel) and its tile jobs, behind the [`LiquidGemm`]
-//!   handle: build once, issue every GEMM through it.
-//! * [`pipeline`] — the one tile-job driver over the pool: a tile job
-//!   is a row range of the call's shared weights; Flat and ImFP run it
-//!   as one fused job, ExCP as a Dequant job plus the Dequant→MMA hop.
+//!   persistent kernel): a board of published calls whose tiles the
+//!   workers claim off a cursor, behind the [`LiquidGemm`] handle:
+//!   build once, issue every GEMM through it.
+//! * [`pipeline`] — the one tile driver over the pool: a tile is a row
+//!   range of the call's shared weights; Flat and ImFP run the fused
+//!   strip loop over it, ExCP materialises the INT8 tile first.
 //! * [`shard`] — tensor-parallel column/row sharding of one GEMM across
 //!   several pools, on the same driver.
-//! * [`sync`] — bounded MPMC channel (std mutex + condvar), the
-//!   per-call reply path.
 //! * [`affinity`] — worker-to-CPU placement.
 //! * [`api`] — the shared argument types every call site uses
 //!   ([`KernelKind`], [`W4A8Weights`], [`GemmOutput`]).
 //!
 //! When [`lq_telemetry::enable`] is on, the pipelines export task
-//! counters, queue-depth gauges, and per-role span histograms (see
+//! counters and per-role span histograms (see
 //! `telemetry` module docs); disabled, instrumentation is one relaxed
 //! load per GEMM call.
 
@@ -70,7 +69,6 @@ pub mod runtime;
 pub mod serial;
 pub mod shard;
 pub mod simd;
-pub mod sync;
 mod telemetry;
 
 pub use affinity::PlacementPolicy;

@@ -1,10 +1,10 @@
-//! The parallel W4A8 kernel: one tile-job driver (`drive`) over the
+//! The parallel W4A8 kernel: one tile driver (`drive`) over the
 //! persistent [`WorkerPool`] (see [`crate::runtime`]). Flat
 //! data-parallel, the explicit coarse-grained pipeline (ExCP) and the
 //! implicit fine-grained pipeline (ImFP) are the same driver, the same
-//! strip kernel ([`crate::serial`]) and the same reply path — a
-//! [`KernelKind`] only decides whether a tile is one fused job or a
-//! Dequant → Mma pair.
+//! strip kernel ([`crate::serial`]) and the same published call — a
+//! [`KernelKind`] only decides whether a tile's body is the fused strip
+//! loop or materialise-then-MMA.
 //!
 //! Mapping of the paper's Hopper structures (Figure 6) onto the pool:
 //!
@@ -13,33 +13,35 @@
 //! | persistent kernel (§5.4)      | the long-lived worker threads owned by |
 //! |                               | a [`crate::LiquidGemm`] handle         |
 //! | Load WG (the single producer) | the calling thread inside `drive`,     |
-//! |                               | streaming fine-grained tile            |
-//! |                               | descriptors (`{ctx, j0, rows}`) into   |
-//! |                               | the pool                               |
+//! |                               | publishing the call (weights,          |
+//! |                               | activation panels, tile count) once    |
 //! | TMA (GMEM → SMEM)             | the cache hierarchy plus the software  |
 //! |                               | prefetch the strip kernel issues one K |
 //! |                               | block ahead; weights are read in place |
 //! |                               | from the shared `Arc`, never copied    |
-//! | SMEM stages                   | the pool's bounded job queue           |
-//! |                               | (`queue_depth`): the producer blocks   |
-//! |                               | when that many tiles are in flight     |
-//! | Compute WG (dequant + MMA)    | a Compute job: the strip kernel over   |
+//! | SMEM stages                   | none: a published call is O(1) state   |
+//! |                               | however many tiles it has, so nothing  |
+//! |                               | is staged and nothing needs a bound    |
+//! | Compute WG (dequant + MMA)    | a fused tile: the strip kernel over    |
 //! |                               | one tile's rows — dequant a K block    |
 //! |                               | into an L1-sized buffer, MMA it at     |
 //! |                               | once (no round trip)                   |
-//! | Dequant WG → SMEM → MMA WG    | ExCP only: a Dequant job materialises  |
-//! |                               | the whole INT8 tile, then forwards an  |
-//! |                               | Mma job that re-reads it               |
-//! | mbarrier sync between WGs     | the extra queue hop in ExCP            |
-//! | hardware task scheduling      | one deque pop (or steal) per job       |
+//! | Dequant WG → SMEM → MMA WG    | ExCP only: the tile body materialises  |
+//! |                               | the whole INT8 tile, then runs the MMA |
+//! |                               | over it                                |
+//! | mbarrier sync between WGs     | ExCP's re-read of the materialised     |
+//! |                               | tile                                   |
+//! | hardware task scheduling      | one `fetch_add` on the call's cursor   |
+//! |                               | per tile — what a persistent kernel's  |
+//! |                               | tile scheduler is                      |
 //! | epilogue / output fragment    | the call's `Sink`: f32 scale           |
 //! |                               | application, or exact i64 sums for the |
 //! |                               | row-parallel all-reduce                |
 //!
 //! Every kind computes `Yᵀ = W·Xᵀ` — the paper's Section 5.4 rewrite —
-//! so each task (a block of output channels) owns a *contiguous* slice
-//! of the transposed output; workers return owned tiles the caller
-//! stitches together, and the final transpose is the trailing `ᵀ`.
+//! so each tile (a block of output channels) owns a *contiguous* slice
+//! of the transposed output; workers copy finished tiles into the
+//! call's flat buffer, and the final transpose is the trailing `ᵀ`.
 //! Integer accumulation is exact, so every kind stays bit-identical to
 //! the serial kernel regardless of worker interleaving (tests at the
 //! bottom, in `tests/props.rs`, and under concurrency in
@@ -49,15 +51,14 @@
 //!
 //! When [`lq_telemetry::enable`] has been called, a call records
 //! whole-call latency (`lq_gemm_ns`), per-role task spans
-//! (`lq_pipeline_task_ns`), task counts, and queue-occupancy gauges,
-//! all labelled with the call's `variant`
-//! (`serial`/`flat`/`imfp`/`excp`, and `flat_raw` for the row-parallel
-//! shards' exact-sum calls); the pool itself exports queue depth and
-//! per-worker busy/steal counters (see [`crate::runtime`]). Disabled
+//! (`lq_pipeline_task_ns`) and task counts, all labelled with the
+//! call's `variant` (`serial`/`flat`/`imfp`/`excp`, and `flat_raw` for
+//! the row-parallel shards' exact-sum calls); the pool itself exports
+//! per-worker job/busy counters (see [`crate::runtime`]). Disabled
 //! (the default), instrumentation is a single relaxed load per call.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lq_quant::backend::PackedWeights;
 use lq_quant::mat::Mat;
@@ -65,11 +66,10 @@ use lq_quant::mat::Mat;
 use crate::affinity::PlacementPolicy;
 use crate::api::KernelKind;
 use crate::epilogue::Sink;
-use crate::microkernel::APanels;
-use crate::runtime::{CallCtx, Job, Reply, TileCall, WorkerPool};
+use crate::microkernel::{APanels, SIMD_STRIP};
+use crate::runtime::{CallCtx, WorkerPool};
 use crate::serial::{check_shapes, serial_tiles};
 use crate::simd::SimdVariant;
-use crate::sync::{bounded, Receiver};
 use crate::telemetry::{call_span, PipeMetrics};
 
 /// Parallel execution parameters.
@@ -97,7 +97,7 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            task_rows: 8,
+            task_rows: SIMD_STRIP,
             placement: PlacementPolicy::Unpinned,
         }
     }
@@ -119,8 +119,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `task_rows == 0`: tasks would cover no output channels.
     ZeroTaskRows,
-    /// `queue_depth == 0`: the injector queue could hold no jobs.
-    ZeroQueueDepth,
     /// A microkernel variant was forced
     /// ([`crate::LiquidGemmBuilder::force_microkernel`]) that the
     /// running CPU does not support.
@@ -132,7 +130,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
             ConfigError::ZeroTaskRows => write!(f, "task_rows must be >= 1"),
-            ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be >= 1"),
             ConfigError::UnsupportedMicrokernel(v) => {
                 write!(f, "microkernel variant {:?} not supported by this CPU", v)
             }
@@ -201,59 +198,29 @@ impl ParallelConfigBuilder {
     }
 }
 
-/// Collect exactly `tasks` tile replies into the flat `N×M` buffer
-/// (`Yᵀ`; tile `j0` lands at `j0·m`). Re-panics if any job panicked in
-/// a worker *and* exhausted the pool's retry budget (transient faults
-/// are retried and never reach here; see the self-healing notes in
-/// [`crate::runtime`]).
-fn collect_tiles<T: Copy + Default>(
-    rx: &Receiver<Reply<T>>,
-    tasks: usize,
-    m: usize,
-    n: usize,
-    epoch: u64,
-) -> Vec<T> {
-    let mut y_t = vec![T::default(); n * m];
-    for _ in 0..tasks {
-        match rx.recv() {
-            Ok(Reply::Done { j0, out, epoch: e }) => {
-                debug_assert_eq!(e, epoch, "cross-call reply mix-up");
-                let dst = j0 * m;
-                y_t[dst..dst + out.len()].copy_from_slice(&out);
-            }
-            Ok(Reply::Panicked) => {
-                panic!("LiquidGemm tile job panicked on every retry (deterministic bug)")
-            }
-            Err(_) => unreachable!("reply channel closed before all tiles arrived"),
-        }
-    }
-    y_t
-}
-
-/// The one W4A8 driver: run `Yᵀ = W·Xᵀ` as tile jobs on the persistent
+/// The one W4A8 driver: run `Yᵀ = W·Xᵀ` as tiles on the persistent
 /// pool and return the flat `N×M` buffer of whatever `sink` makes of
 /// each exact dot product (f32 epilogue for [`crate::LiquidGemm::gemm`],
 /// exact i64 for row-parallel sharding). The calling thread is the one
-/// producer: it streams a `{ctx, j0, rows}` descriptor per
-/// `cfg.task_rows` output channels into the pool — blocking only on
-/// the pool's queue capacity, the bound on tiles in flight — and the
-/// jobs read their rows of `w` in place. `kind` decides what a tile's
-/// job is:
+/// producer: it publishes the call once — tile `t` is output channels
+/// `[t·task_rows, …)` of `w`, read in place — and blocks until the
+/// workers have claimed and finished every tile. `kind` decides what a
+/// tile's body is:
 ///
 /// * `Serial` — no pool: the strip loop over the whole matrix on the
 ///   calling thread.
-/// * `ImFp`, `FlatParallel` — one fused Compute job per tile: dequant
-///   of one tile overlaps MMA of another across workers with no
-///   cross-stage data movement (the same arm; see
-///   [`KernelKind::FlatParallel`]).
-/// * `ExCp` — each tile is submitted as a Dequant job that materialises
-///   the whole INT8 tile and forwards an Mma job onto the executing
-///   worker's own deque (LIFO, so the tile is still hot; idle workers
-///   may steal it). Each tile crosses the queue twice and the INT8
-///   intermediate makes the RF↔SMEM round trip — the overhead the
-///   paper measures against ImFP. Kept purely as the ablation.
+/// * `ImFp`, `FlatParallel` — the fused strip loop: dequant of one tile
+///   overlaps MMA of another across workers with no cross-stage data
+///   movement (the same arm; see [`KernelKind::FlatParallel`]).
+/// * `ExCp` — the tile materialises its whole INT8 intermediate, then
+///   runs the MMA over it: the INT8 tile makes the RF↔SMEM round trip —
+///   the overhead the paper measures against ImFP. Kept purely as the
+///   ablation.
 ///
-/// `variant` labels the call's telemetry series.
+/// `variant` labels the call's telemetry series. Re-panics if a tile
+/// panicked in a worker *and* exhausted the pool's retry budget
+/// (transient faults are retried and never reach here; see the
+/// self-healing notes in [`crate::runtime`]).
 pub(crate) fn drive<S: Sink + 'static>(
     pool: &WorkerPool,
     x: &Mat<i8>,
@@ -269,37 +236,25 @@ pub(crate) fn drive<S: Sink + 'static>(
         return serial_tiles(pool.microkernels(), x, w.as_ref(), &sink);
     }
     check_shapes(x, sink.act_scales(), w.as_ref());
-    let metrics = PipeMetrics::resolve(variant, backend).map(Arc::new);
     let (m, n) = (x.rows(), w.n());
     let task_rows = cfg.task_rows.max(1);
-    let tasks = n.div_ceil(task_rows);
-    let (reply_tx, reply_rx) = bounded(tasks.max(1));
-    let epoch = pool.next_epoch();
-    let ctx: Arc<dyn TileCall> = Arc::new(CallCtx {
+    let ctx = Arc::new(CallCtx {
         w,
         // One pass over the block — the same cost the pre-tiling runtime
         // paid to clone `x` into the call context.
         a: APanels::pack(x),
         sink,
-        reply: reply_tx,
-        epoch,
+        task_rows,
+        split: kind == KernelKind::ExCp,
+        out: Mutex::new(vec![S::Out::default(); n * m]),
         mk: pool.microkernels(),
-        metrics: metrics.clone(),
+        metrics: PipeMetrics::resolve(variant, backend).map(Arc::new),
     });
-    for j0 in (0..n).step_by(task_rows) {
-        let rows = task_rows.min(n - j0);
-        let ctx = Arc::clone(&ctx);
-        pool.submit(if kind == KernelKind::ExCp {
-            Job::Dequant { ctx, j0, rows }
-        } else {
-            Job::Compute { ctx, j0, rows }
-        });
-        if let Some(mx) = &metrics {
-            mx.depth_task.set(pool.queue_len() as f64);
-        }
+    if pool.run(ctx.clone(), n.div_ceil(task_rows)).is_err() {
+        panic!("LiquidGemm tile job panicked on every retry (deterministic bug)")
     }
-    drop(ctx);
-    collect_tiles(&reply_rx, tasks, m, n, epoch)
+    let mut y_t = ctx.out.lock().expect("call output poisoned");
+    std::mem::take(&mut *y_t)
 }
 
 #[cfg(test)]
@@ -360,7 +315,7 @@ mod tests {
         let (x, s, lqq, _) = fixture(7, 33, 128);
         let want = w4a8_serial(&x, &s, lqq.as_ref());
         for workers in [1, 2, 4] {
-            let pool = WorkerPool::new(workers, 16);
+            let pool = WorkerPool::new(workers);
             let got = run(&pool, &x, &s, &lqq, cfg(5), KernelKind::ImFp);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "workers={workers}");
         }
@@ -370,7 +325,7 @@ mod tests {
     fn excp_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(6, 20, 192);
         let want = w4a8_serial(&x, &s, lqq.as_ref());
-        let pool = WorkerPool::new(4, 16);
+        let pool = WorkerPool::new(4);
         let got = run(&pool, &x, &s, &lqq, cfg(3), KernelKind::ExCp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
@@ -379,7 +334,7 @@ mod tests {
     fn flat_matches_serial_bit_exact() {
         let (x, s, lqq, _) = fixture(5, 17, 64);
         let want = w4a8_serial(&x, &s, lqq.as_ref());
-        let pool = WorkerPool::new(3, 16);
+        let pool = WorkerPool::new(3);
         let got = run(&pool, &x, &s, &lqq, cfg(4), KernelKind::FlatParallel);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
@@ -388,7 +343,7 @@ mod tests {
     fn qoq_variants_match_their_serial() {
         let (x, s, _, qoq) = fixture(4, 12, 128);
         let want = w4a8_serial(&x, &s, qoq.as_ref());
-        let pool = WorkerPool::new(2, 16);
+        let pool = WorkerPool::new(2);
         for kind in [KernelKind::ImFp, KernelKind::ExCp, KernelKind::FlatParallel] {
             let got = run(&pool, &x, &s, &qoq, cfg(4), kind);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "{kind:?}");
@@ -415,7 +370,7 @@ mod tests {
         let (n0, n1, g0, groups) = (3, 17, 1, 2);
         for v in SimdVariant::detected() {
             let mk = MicrokernelSet::for_variant(v).expect("detected implies available");
-            let pool = WorkerPool::with_faults(3, 16, PlacementPolicy::Unpinned, mk, None);
+            let pool = WorkerPool::with_faults(3, PlacementPolicy::Unpinned, mk, None);
             for backend in registry() {
                 let full = backend.pack(&wf, group);
                 let mut full_i8 = Mat::zeros(n, k);
@@ -503,7 +458,7 @@ mod tests {
     fn task_rows_not_dividing_n_is_handled() {
         let (x, s, lqq, _) = fixture(3, 10, 64);
         let want = w4a8_serial(&x, &s, lqq.as_ref());
-        let pool = WorkerPool::new(2, 16);
+        let pool = WorkerPool::new(2);
         let got = run(&pool, &x, &s, &lqq, cfg(7), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
@@ -512,7 +467,7 @@ mod tests {
     fn more_workers_than_tasks_is_safe() {
         let (x, s, lqq, _) = fixture(2, 4, 64);
         let want = w4a8_serial(&x, &s, lqq.as_ref());
-        let pool = WorkerPool::new(16, 32);
+        let pool = WorkerPool::new(16);
         let got = run(&pool, &x, &s, &lqq, cfg(4), KernelKind::ImFp);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
@@ -522,7 +477,7 @@ mod tests {
         let (x, s, lqq, qoq) = fixture(3, 19, 128);
         let want_l = w4a8_serial(&x, &s, lqq.as_ref());
         let want_q = w4a8_serial(&x, &s, qoq.as_ref());
-        let pool = WorkerPool::new(3, 8);
+        let pool = WorkerPool::new(3);
         let c = cfg(4);
         for _ in 0..8 {
             let got = run(&pool, &x, &s, &lqq, c, KernelKind::ImFp);
@@ -537,6 +492,9 @@ mod tests {
     #[test]
     fn config_builder_validates() {
         assert!(ParallelConfig::builder().build().is_ok());
+        // A default tile is whole SIMD strips: no worker multiplies the
+        // zero rows of a half-empty strip.
+        assert_eq!(ParallelConfig::default().task_rows % SIMD_STRIP, 0);
         assert_eq!(
             ParallelConfig::builder().workers(0).build(),
             Err(ConfigError::ZeroWorkers)

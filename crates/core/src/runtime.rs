@@ -4,104 +4,88 @@
 //! The paper keeps one kernel resident on the GPU and lets long-lived
 //! warp groups *pull* tile work, so no launch pays setup cost twice.
 //! The CPU analog: [`LiquidGemm`] owns a [`WorkerPool`] of persistent
-//! threads created once at `build()`; every `gemm` call places tile
-//! jobs onto the pool and collects per-tile results off a per-call
-//! reply channel. `lq_sim::persistent::{makespan_wave,
-//! makespan_persistent}` is the analytical model of exactly this
-//! wave-launch vs persistent-pool trade-off.
+//! threads created once at `build()`; every `gemm` call publishes
+//! itself once and its tiles are pulled off it by whichever worker is
+//! free. `lq_sim::persistent::{makespan_wave, makespan_persistent}` is
+//! the analytical model of exactly this wave-launch vs persistent-pool
+//! trade-off.
 //!
-//! ## Work-stealing tile scheduler
+//! ## Board, cursor, retry list, latch
 //!
-//! Jobs no longer funnel through a single shared MPMC queue (which let
-//! whichever worker won the condvar race drain everything — the ~5×
-//! busy-ns imbalance in the pre-PR-4 bench snapshot). Instead each
-//! worker owns a deque and work flows three ways:
+//! A GEMM call is one published object, not a queued object per tile:
 //!
-//! * **Placement**: external submissions are dealt round-robin onto the
-//!   workers' deques (`push_front`), so every worker has a designated
-//!   share and is woken directly (its deque's condvar) — the CPU image
-//!   of QServe-style static warp assignment.
-//! * **LIFO local / FIFO steal**: an owner pops its own deque from the
-//!   back — so a job it *forwarded to itself* (the ExCP Dequant→MMA
-//!   hop) runs next while the tile is cache-hot — while thieves steal
-//!   from the front, taking the work the owner would reach last.
-//! * **Stealing**: a worker that finds its own deque and the global
-//!   injector empty sweeps the other deques before parking with a
-//!   short timeout (work conservation even when a wakeup is missed).
-//!   Steals are counted per worker ([`WorkerPool::worker_stats`] and
-//!   `lq_pool_steal_total{worker=…}`).
+//! * **Board**: the pool's only shared queue is a mutex-guarded list of
+//!   the calls currently in flight (at most one per concurrent caller).
+//!   `WorkerPool::run` pushes its call, issues one `notify_all`, and
+//!   blocks once; it takes the board lock a second time to take the
+//!   finished call off again. A call is O(1) state however many tiles
+//!   it has, so there is nothing to bound and no backpressure knob.
+//! * **Cursor**: a tile is an index. A worker takes the oldest call
+//!   with a claimable tile under the board lock, then keeps claiming
+//!   from that call with one `fetch_add` on its cursor — the tile
+//!   scheduler of a persistent kernel — and does not touch the board
+//!   again until the call has nothing left to claim.
+//! * **Retry list**: tiles a panicked worker handed back (see below);
+//!   looked at only once the cursor is exhausted.
+//! * **Latch**: every finished tile decrements the call's `left` count
+//!   and the worker that takes it to zero wakes the caller.
 //!
-//! Total queued jobs are bounded by `queue_depth`: external submitters
-//! block on the capacity gate, restoring the old bounded-injector
-//! backpressure. Worker self-forwards are exempt (a worker blocking on
-//! its own pool's capacity would deadlock) — the transient excess is at
-//! most one job per worker.
-//!
-//! A tile job is a row range, not a copy: `lq-core` denies `unsafe`
+//! A tile is a row range, not a copy: `lq-core` denies `unsafe`
 //! outside the two leaf modules ([`crate::simd`], [`crate::affinity`]),
 //! so the rayon-style lifetime-erased scoped pool is off the table and
-//! a job must be `'static` — but packed weights already live behind an
-//! `Arc<dyn PackedWeights>`, which is exactly that. A job is therefore
-//! `{ctx, j0, rows}`: an `Arc` of the per-call context (the shared
-//! weights, packed activation panels, the sink with its scales, the
-//! reply sender) and the output channels it covers; it dequantizes
-//! straight from the shared weights through the same
-//! [`PackedWeights::dequant_row_group`] the serial kernel calls.
-//! Workers compute into owned output chunks and send them back; the
-//! caller assembles and transposes. Integer accumulation is exact, so
-//! results stay bit-identical to the serial kernels no matter which
-//! worker runs which tile in which order.
+//! a call must be `'static` — but packed weights already live behind an
+//! `Arc<dyn PackedWeights>`, which is exactly that. The call's context
+//! holds the shared weights, the packed activation panels, the sink
+//! with its scales and the flat `N×M` output; tile `t` covers output
+//! channels `[t·task_rows, …)` and dequantizes straight from the shared
+//! weights through the same [`PackedWeights::dequant_row_group`] the
+//! serial kernel calls. Workers compute a tile into an owned chunk and
+//! copy it into the call's output under its mutex; the caller
+//! transposes. Integer accumulation is exact, so results stay
+//! bit-identical to the serial kernels no matter which worker runs
+//! which tile in which order.
 //!
-//! Epoch stamps: every call takes a fresh epoch from the pool's
-//! `AtomicU64`; replies carry it so a debug build catches any cross-call
-//! mix-up (each call has a private reply channel, so in release this is
-//! belt and braces).
-//!
-//! Shutdown: dropping the pool flips the shared `shutdown` flag and
+//! Shutdown: dropping the pool sets the board's `shutdown` flag and
 //! wakes everyone; a worker exits only when the flag is set *and* no
-//! jobs remain queued anywhere (drain-and-exit — a LIFO deque would
-//! pop a poison pill before older queued work, so pills are gone).
+//! call on the board has a claimable tile (drain-and-exit).
 //!
 //! ## Self-healing (quarantine, retry, respawn)
 //!
-//! A panic inside a job is caught with `catch_unwind`, but instead of
+//! A panic inside a tile is caught with `catch_unwind`, but instead of
 //! propagating to the caller the pool heals itself:
 //!
-//! 1. The job — `{ctx, j0, rows}` — survives the unwind (the caught
-//!    closure only *borrows* it), so the worker requeues it on the
-//!    global injector for another worker — non-blocking, with a small
-//!    attempts-proportional backoff, up to [`MAX_JOB_RETRIES`] times.
-//!    Integer accumulation keeps the retried result bit-exact with the
-//!    serial kernels.
+//! 1. The tile is only an index, so it survives the unwind: the worker
+//!    puts it on its call's retry list for another worker — with a
+//!    small attempts-proportional backoff, up to [`MAX_JOB_RETRIES`]
+//!    times. Integer accumulation keeps the retried result bit-exact
+//!    with the serial kernels.
 //! 2. The panicked worker is quarantined: it records the restart
 //!    (`worker_stats().restarts`, `lq_pool_worker_restarts_total`),
 //!    spawns its own replacement thread under the lifecycle lock
 //!    (skipped when shutdown has begun), and exits. Replacement
 //!    handles register in the same lifecycle state drop joins, so no
 //!    thread is ever leaked.
-//! 3. Only when a job exhausts its retry budget does the caller see a
-//!    `Panicked` reply (which re-panics there — a deterministic bug,
-//!    not a transient fault).
+//! 3. Only when a tile exhausts its retry budget does the call fail
+//!    (and its caller re-panic — a deterministic bug, not a transient
+//!    fault).
 //!
 //! Fault injection for tests threads a shared
 //! [`lq_chaos::FaultInjector`] through [`LiquidGemmBuilder::fault_injector`]:
-//! workers consult it before each *fresh* job (retries are exempt, so
+//! workers consult it before each *fresh* tile (retries are exempt, so
 //! injected panics model transient faults and recovery stays
-//! deterministic) and submitters consult it for stall bursts. Without
-//! an injector every hook is one `Option` check — the PR 4 hot path is
-//! unchanged.
+//! deterministic) and callers consult it once per published call for
+//! stall bursts. Without an injector every hook is one `Option` check.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lq_chaos::{FaultAction, FaultInjector};
 use lq_quant::backend::{BackendId, PackedWeights};
 use lq_quant::mat::Mat;
-use lq_telemetry::Gauge;
 
 use crate::affinity::{self, PlacementPolicy};
 use crate::api::{GemmOutput, KernelKind, W4A8Weights};
@@ -110,29 +94,32 @@ use crate::microkernel::{APanels, MicrokernelSet};
 use crate::pipeline::{drive, ConfigError, ParallelConfig};
 use crate::serial::{dense_kernel, materialize_tile, strip_kernel};
 use crate::simd::SimdVariant;
-use crate::sync::{bounded, Sender};
 use crate::telemetry::{pool_fault_metrics, PipeMetrics, WorkerMetrics};
 
-/// Per-call shared state of a GEMM call's tile jobs: the weights, the
-/// packed activations, the output sink and the reply channel. Generic
-/// over the call's [`Sink`]; jobs hold it as an
+/// Per-call shared state of a GEMM call's tiles: the weights, the
+/// packed activations, the output sink and the output itself. Generic
+/// over the call's [`Sink`]; the pool holds it as an
 /// `Arc<dyn `[`TileCall`]`>`.
 pub(crate) struct CallCtx<S: Sink> {
     /// The call's packed weights (or a shard's view of them), shared
-    /// with the caller — jobs read their row range in place.
+    /// with the caller — tiles read their row range in place.
     pub(crate) w: Arc<dyn PackedWeights>,
     /// INT8 activations packed into register-tile panels — built once
-    /// per call so jobs are `'static` (the same single pass over the
+    /// per call so the call is `'static` (the same single pass over the
     /// block that cloning the matrix used to cost).
     pub(crate) a: APanels,
     /// What becomes of each exact dot product (f32 epilogue with the
     /// call's activation scales, or exact i64).
     pub(crate) sink: S,
-    /// Where finished tiles go.
-    pub(crate) reply: Sender<Reply<S::Out>>,
-    /// Epoch stamped on every reply of this call.
-    pub(crate) epoch: u64,
-    /// Microkernel family every tile job of this call computes with
+    /// Output channels per tile: tile `t` covers
+    /// `[t·task_rows, min((t+1)·task_rows, n))`.
+    pub(crate) task_rows: usize,
+    /// ExCP: a tile materialises its whole INT8 intermediate and
+    /// re-reads it, instead of the fused strip loop.
+    pub(crate) split: bool,
+    /// The flat `N×M` `Yᵀ`; tile `t` lands at `t·task_rows·m`.
+    pub(crate) out: Mutex<Vec<S::Out>>,
+    /// Microkernel family every tile of this call computes with
     /// (captured from the pool at call setup — one resolved dispatch
     /// per call, not per tile).
     pub(crate) mk: MicrokernelSet,
@@ -140,26 +127,21 @@ pub(crate) struct CallCtx<S: Sink> {
     pub(crate) metrics: Option<Arc<PipeMetrics>>,
 }
 
-/// A finished (or failed) tile travelling back to the calling thread.
-pub(crate) enum Reply<T> {
-    /// Rows `[j0, j0 + out.len()/m)` of `Yᵀ`, flat `rows×m`, in the
-    /// call's sink output type.
-    Done { j0: usize, out: Vec<T>, epoch: u64 },
-    /// The job panicked; the caller re-panics.
-    Panicked,
-}
-
-/// The trace identity of one job attempt's stage span: stage spans
+/// The trace identity of one tile attempt's stage spans: stage spans
 /// carry the submitting request's correlation ID, not the worker's.
 pub(crate) struct StageSpan {
-    t0: Option<std::time::Instant>,
+    traced: bool,
     worker: u32,
     corr: u64,
 }
 
 impl StageSpan {
-    fn record(&self, kind: lq_trace::EventKind, j0: usize, rows: usize) {
-        if let Some(t0) = self.t0 {
+    fn start(&self) -> Option<Instant> {
+        self.traced.then(Instant::now)
+    }
+
+    fn record(&self, kind: lq_trace::EventKind, j0: usize, rows: usize, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
             lq_trace::span_full(
                 kind,
                 lq_trace::Track::Worker(self.worker),
@@ -173,238 +155,147 @@ impl StageSpan {
     }
 }
 
-/// A call as its tile jobs see it, with the sink's output type erased:
-/// one virtual call per job stage, none per element. Tiles are output
-/// channels `[j0, j0 + rows)` of the call's weights.
+/// A call as the pool sees it, with the sink's output type erased: one
+/// virtual call per tile, none per element.
 pub(crate) trait TileCall: Send + Sync {
-    /// Fused dequant+MMA over a tile (Flat and ImFP): compute, reply.
-    fn compute(&self, j0: usize, rows: usize, span: &StageSpan);
-    /// ExCP stage 2: materialise the tile as row-major `rows×k` INT8.
-    fn dequant(&self, j0: usize, rows: usize, span: &StageSpan) -> Vec<i8>;
-    /// ExCP stage 3: dot products from a materialised INT8 tile; reply.
-    fn mma(&self, j0: usize, tile: &[i8], span: &StageSpan);
-    /// Report a job that exhausted its retry budget, so the caller
-    /// un-blocks (and re-panics — see `collect_tiles`).
-    fn abandon(&self);
-}
-
-impl<S: Sink> CallCtx<S> {
-    /// Common tail of successful Compute/Mma jobs: count the task and
-    /// reply. Send failures mean the caller is gone (it panicked or
-    /// was dropped) and are deliberately ignored.
-    fn finish(&self, j0: usize, out: Vec<S::Out>) {
-        if let Some(mx) = &self.metrics {
-            mx.tasks.inc();
-        }
-        let _ = self.reply.send(Reply::Done {
-            j0,
-            out,
-            epoch: self.epoch,
-        });
-    }
+    /// Compute tile `t` and write its rows into the call's output.
+    fn run_tile(&self, t: usize, span: &StageSpan);
 }
 
 impl<S: Sink> TileCall for CallCtx<S> {
-    fn compute(&self, j0: usize, rows: usize, span: &StageSpan) {
-        let m = self.a.m();
-        let mut out = vec![S::Out::default(); rows * m];
-        {
-            let _span = self
-                .metrics
-                .as_ref()
-                .map(|mx| mx.task_ns_compute.span_owned());
-            let ch = &self.w.channel_scales()[j0..j0 + rows];
-            strip_kernel(self.mk, &self.a, self.w.as_ref(), (j0, rows), |j, i, s| {
-                out[j * m + i] = self.sink.emit(i, ch[j], s);
-            });
-        }
-        span.record(lq_trace::EventKind::StageCompute, j0, rows);
-        self.finish(j0, out);
-    }
-
-    fn dequant(&self, j0: usize, rows: usize, span: &StageSpan) -> Vec<i8> {
-        let tile = {
-            let _span = self
-                .metrics
-                .as_ref()
-                .and_then(|mx| mx.task_ns_dequant.as_ref().map(|h| h.span_owned()));
-            materialize_tile(self.w.as_ref(), j0, rows)
-        };
-        span.record(lq_trace::EventKind::StageDequant, j0, rows);
-        tile
-    }
-
-    fn mma(&self, j0: usize, tile: &[i8], span: &StageSpan) {
+    fn run_tile(&self, t: usize, span: &StageSpan) {
         let (m, k) = (self.a.m(), self.w.k());
-        let rows = tile.len() / k;
+        let j0 = t * self.task_rows;
+        let rows = self.task_rows.min(self.w.n() - j0);
+        let ch = &self.w.channel_scales()[j0..j0 + rows];
+        let mx = self.metrics.as_deref();
         let mut out = vec![S::Out::default(); rows * m];
-        {
-            let _span = self
-                .metrics
-                .as_ref()
-                .and_then(|mx| mx.task_ns_mma.as_ref().map(|h| h.span_owned()));
-            let ch = &self.w.channel_scales()[j0..j0 + rows];
-            dense_kernel(self.mk, &self.a, tile, (rows, k), |j, i, s| {
-                out[j * m + i] = self.sink.emit(i, ch[j], s);
-            });
+        let emit = |j: usize, i: usize, s: i64| out[j * m + i] = self.sink.emit(i, ch[j], s);
+        if self.split {
+            // ExCP: the whole INT8 tile makes the round trip through
+            // memory between its two stages.
+            let t0 = span.start();
+            let tile = {
+                let _span = mx.and_then(|mx| mx.task_ns_dequant.as_ref().map(|h| h.span_owned()));
+                materialize_tile(self.w.as_ref(), j0, rows)
+            };
+            span.record(lq_trace::EventKind::StageDequant, j0, rows, t0);
+            let t0 = span.start();
+            {
+                let _span = mx.and_then(|mx| mx.task_ns_mma.as_ref().map(|h| h.span_owned()));
+                dense_kernel(self.mk, &self.a, &tile, (rows, k), emit);
+            }
+            span.record(lq_trace::EventKind::StageMma, j0, rows, t0);
+        } else {
+            let t0 = span.start();
+            {
+                let _span = mx.map(|mx| mx.task_ns_compute.span_owned());
+                strip_kernel(self.mk, &self.a, self.w.as_ref(), (j0, rows), emit);
+            }
+            span.record(lq_trace::EventKind::StageCompute, j0, rows, t0);
         }
-        span.record(lq_trace::EventKind::StageMma, j0, rows);
-        self.finish(j0, out);
-    }
-
-    fn abandon(&self) {
-        let _ = self.reply.send(Reply::Panicked);
+        if let Some(mx) = mx {
+            mx.tasks.inc();
+        }
+        let dst = j0 * m;
+        self.out.lock().expect("call output poisoned")[dst..dst + out.len()].copy_from_slice(&out);
     }
 }
 
-/// One unit of work on a worker deque. A tile job names output
-/// channels `[j0, j0 + rows)` of its call's shared weights; nothing but
-/// ExCP's materialised intermediate is ever copied into a job.
-pub(crate) enum Job {
-    /// Fused dequant+MMA over a tile (Flat and ImFP variants).
-    Compute {
-        ctx: Arc<dyn TileCall>,
-        j0: usize,
-        rows: usize,
-    },
-    /// ExCP stage 2: materialise the INT8 tile, then forward an [`Job::Mma`].
-    Dequant {
-        ctx: Arc<dyn TileCall>,
-        j0: usize,
-        rows: usize,
-    },
-    /// ExCP stage 3: dot products from a materialised INT8 tile.
-    Mma {
-        ctx: Arc<dyn TileCall>,
-        j0: usize,
-        tile: Vec<i8>,
-    },
-    /// Test-only: panic inside the worker (exercises containment).
-    Panic { reply: Sender<Reply<f32>> },
-}
-
-impl Job {
-    /// Run one attempt, borrowing the job so it survives an unwind.
-    /// Returns the job this one forwards onto the executing worker's
-    /// deque (the ExCP Dequant→MMA hop), if any.
-    fn run(&self, span: &StageSpan) -> Option<Job> {
-        match self {
-            Job::Compute { ctx, j0, rows } => {
-                ctx.compute(*j0, *rows, span);
-                None
-            }
-            Job::Dequant { ctx, j0, rows } => Some(Job::Mma {
-                ctx: Arc::clone(ctx),
-                j0: *j0,
-                tile: ctx.dequant(*j0, *rows, span),
-            }),
-            Job::Mma { ctx, j0, tile } => {
-                ctx.mma(*j0, tile, span);
-                None
-            }
-            Job::Panic { .. } => panic!("injected worker panic"),
-        }
-    }
-
-    /// Last resort when the retry budget is exhausted: report the
-    /// failure on the job's reply channel.
-    fn abandon(self) {
-        match self {
-            Job::Compute { ctx, .. } | Job::Dequant { ctx, .. } | Job::Mma { ctx, .. } => {
-                ctx.abandon();
-            }
-            Job::Panic { reply } => {
-                let _ = reply.send(Reply::Panicked);
-            }
-        }
-    }
-}
-
-/// How many times a panicked job is retried on another worker before
-/// its caller sees the failure. Injected (transient) faults never
-/// recur on retry; a *deterministic* bug exhausts the budget fast
-/// instead of looping forever.
+/// How many times a panicked tile is retried on another worker before
+/// its call fails. Injected (transient) faults never recur on retry; a
+/// *deterministic* bug exhausts the budget fast instead of looping
+/// forever.
 const MAX_JOB_RETRIES: u8 = 3;
 
-/// A queued job plus its retry count and trace identity. Fresh
-/// submissions and worker self-forwards start at 0 attempts; each
-/// panic-requeue increments it. `id`/`corr` are 0 unless tracing was
-/// enabled at enqueue time; both survive retries, so a retried job's
-/// whole history shares one timeline in the trace.
-pub(crate) struct Tracked {
-    job: Job,
+/// A worker's hold on one tile of a call. Fresh claims come off the
+/// cursor at 0 attempts; each panic hands the tile back with one more.
+struct Claim {
+    t: usize,
     attempts: u8,
-    /// Process-unique trace job ID (0 = untraced).
-    id: u64,
-    /// Causal correlation ID captured from the submitting thread's
+}
+
+/// A tile exhausted [`MAX_JOB_RETRIES`]: the call produced no output.
+pub(crate) struct RetriesExhausted;
+
+/// One published GEMM call (see the module docs).
+struct Call {
+    body: Arc<dyn TileCall>,
+    tiles: usize,
+    /// Cursor: the next tile nobody has claimed yet.
+    next: AtomicUsize,
+    /// Tiles handed back by a panicked worker.
+    retry: Mutex<Vec<Claim>>,
+    /// Tiles not yet finished.
+    left: AtomicUsize,
+    /// A tile exhausted its retry budget; nothing more is claimable.
+    failed: AtomicBool,
+    /// Latch the caller blocks on: set by the last tile, or by failure.
+    done: Mutex<bool>,
+    done_cv: Condvar,
+    /// Trace job ID of tile 0 (tile `t` is `id0 + t`); 0 when tracing
+    /// was off at publish. Survives retries, so a retried tile's whole
+    /// history shares one timeline in the trace.
+    id0: u64,
+    /// Causal correlation ID captured from the publishing thread's
     /// [`lq_trace::corr_scope`] (0 = none).
     corr: u64,
 }
 
-impl Tracked {
-    fn fresh(job: Job) -> Self {
-        let (id, corr) = if lq_trace::enabled() {
-            (lq_trace::fresh_job_id(), lq_trace::current_corr())
-        } else {
-            (0, 0)
-        };
-        Self {
-            job,
-            attempts: 0,
-            id,
-            corr,
-        }
-    }
-
-    /// A worker self-forward (the ExCP Dequant→MMA hop): new job, but
-    /// the *submitting request's* correlation — the worker thread's own
-    /// scope is not the causal parent.
-    fn forward(job: Job, corr: u64) -> Self {
-        let id = if lq_trace::enabled() {
-            lq_trace::fresh_job_id()
-        } else {
+impl Call {
+    fn job_id(&self, t: usize) -> u64 {
+        if self.id0 == 0 {
             0
-        };
-        Self {
-            job,
-            attempts: 0,
-            id,
-            corr,
+        } else {
+            self.id0 + t as u64
         }
     }
-}
 
-/// One worker's deque plus the condvar its owner parks on. The deque
-/// mutex doubles as the park lock, so a push under the lock followed by
-/// `notify_one` can never lose a wakeup.
-struct WorkerDeque {
-    q: Mutex<VecDeque<Tracked>>,
-    cv: Condvar,
-}
+    fn claimable(&self) -> bool {
+        !self.failed.load(Ordering::SeqCst)
+            && (self.next.load(Ordering::Relaxed) < self.tiles
+                || !self.retry.lock().expect("retry list poisoned").is_empty())
+    }
 
-impl WorkerDeque {
-    fn new() -> Self {
-        Self {
-            q: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
+    /// The next tile of this call: off the cursor while it lasts (the
+    /// index publishes no data, hence `Relaxed`), then off the retry
+    /// list.
+    fn claim(&self) -> Option<Claim> {
+        if self.failed.load(Ordering::SeqCst) {
+            return None;
+        }
+        if self.next.load(Ordering::Relaxed) < self.tiles {
+            let t = self.next.fetch_add(1, Ordering::Relaxed);
+            if t < self.tiles {
+                return Some(Claim { t, attempts: 0 });
+            }
+        }
+        self.retry.lock().expect("retry list poisoned").pop()
+    }
+
+    fn trip_latch(&self) {
+        *self.done.lock().expect("call latch poisoned") = true;
+        self.done_cv.notify_one();
+    }
+
+    fn finish_tile(&self) {
+        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.trip_latch();
         }
     }
-}
 
-/// Global pool accounting behind one small mutex: the total queued-job
-/// count (for the capacity gate and `queue_len`) and the shutdown flag.
-struct Ctrl {
-    queued: usize,
-    shutdown: bool,
+    fn fail(&self) {
+        self.failed.store(true, Ordering::SeqCst);
+        self.trip_latch();
+    }
 }
 
 /// Lifetime counters of one worker, always on (plain relaxed atomics —
 /// no dependency on `lq-telemetry` being enabled) so benches and the CI
-/// smoke gate can audit load balance on any build.
+/// smoke gate can audit the pool on any build.
 struct WorkerCounters {
     jobs: AtomicU64,
     busy_ns: AtomicU64,
-    steals: AtomicU64,
     restarts: AtomicU64,
     retries: AtomicU64,
     /// CPU this worker slot last pinned itself to; `u64::MAX` means
@@ -417,7 +308,6 @@ impl Default for WorkerCounters {
         Self {
             jobs: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             pinned: AtomicU64::new(u64::MAX),
@@ -429,16 +319,20 @@ impl Default for WorkerCounters {
 /// (see [`WorkerPool::worker_stats`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
-    /// Jobs this worker executed.
+    /// Tiles this worker executed. Counted before the call's caller is
+    /// released, so the sum over workers is exact when `gemm` returns.
     pub jobs: u64,
-    /// Nanoseconds spent executing jobs.
+    /// Nanoseconds spent executing tiles.
     pub busy_ns: u64,
-    /// Jobs this worker stole from another worker's deque.
+    /// Always 0: tiles are claimed off a shared cursor, so nothing can
+    /// be stolen. The field stays because the `ledger` benchmark reads
+    /// it for `core.pool_steal_share`; it goes with the next benchmark
+    /// change.
     pub steals: u64,
     /// Times a worker slot was respawned after a panic quarantined its
     /// thread (counters are per *slot*, so they survive the respawn).
     pub restarts: u64,
-    /// Panicked jobs this worker slot requeued for another attempt.
+    /// Panicked tiles this worker slot handed back for another attempt.
     pub retries: u64,
     /// CPU this worker slot is pinned to, or `None` when unpinned
     /// (the default [`PlacementPolicy::Unpinned`], a non-Linux host,
@@ -460,18 +354,19 @@ struct Lifecycle {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// State shared by submitters and every worker thread.
+/// The calls in flight, oldest first, and the shutdown flag.
+#[derive(Default)]
+struct Board {
+    calls: VecDeque<Arc<Call>>,
+    shutdown: bool,
+}
+
+/// State shared by callers and every worker thread.
 struct Shared {
-    locals: Vec<WorkerDeque>,
-    /// Global FIFO for jobs with no designated worker (the
-    /// panic-injection probe and panic-requeued retries); checked
-    /// after the own deque.
-    injector: WorkerDeque,
-    ctrl: Mutex<Ctrl>,
-    /// Submitters park here when `queued == cap`.
-    space: Condvar,
-    cap: usize,
-    rr: AtomicUsize,
+    board: Mutex<Board>,
+    /// Idle workers park here (under the board lock, so a publish or a
+    /// hand-back made under it cannot be missed).
+    work: Condvar,
     stats: Vec<WorkerCounters>,
     lifecycle: Mutex<Lifecycle>,
     /// Worker-to-CPU placement policy; each worker (and each respawned
@@ -482,100 +377,22 @@ struct Shared {
     fault: Option<Arc<FaultInjector>>,
 }
 
-impl Shared {
-    /// Account one queued job, blocking while the pool is at capacity.
-    fn gate_and_count(&self) {
-        let mut c = self.ctrl.lock().expect("pool ctrl poisoned");
-        while c.queued >= self.cap {
-            c = self.space.wait(c).expect("pool ctrl poisoned");
-        }
-        c.queued += 1;
-    }
-
-    /// Account one queued job without the capacity gate (worker
-    /// self-forwards — blocking inside a worker would deadlock).
-    fn count_unchecked(&self) {
-        self.ctrl.lock().expect("pool ctrl poisoned").queued += 1;
-    }
-
-    /// Account one dequeued job and release a blocked submitter.
-    fn note_pop(&self) {
-        let mut c = self.ctrl.lock().expect("pool ctrl poisoned");
-        c.queued -= 1;
-        drop(c);
-        self.space.notify_one();
-    }
-
-    /// Push a job onto worker `w`'s deque from *outside* (placement):
-    /// `push_front`, so the owner — which pops from the back — runs
-    /// external jobs in arrival order while its own forwards (pushed to
-    /// the back) stay LIFO.
-    fn place(&self, w: usize, t: Tracked) {
-        let d = &self.locals[w];
-        d.q.lock().expect("worker deque poisoned").push_front(t);
-        d.cv.notify_one();
-    }
-
-    /// Push a job onto the executing worker's own deque (`push_back` —
-    /// it will be popped next, cache-hot, unless a thief takes it).
-    /// `corr` is the forwarding job's correlation ID (the worker
-    /// thread's own trace scope is not the causal parent).
-    fn push_local(&self, w: usize, job: Job, corr: u64) {
-        self.count_unchecked();
-        let t = Tracked::forward(job, corr);
-        if t.id != 0 {
-            lq_trace::record_corr(
-                lq_trace::EventKind::JobSubmit,
-                lq_trace::Track::Worker(w as u32),
-                corr,
-                t.id,
-                w as u64,
-            );
-        }
-        let d = &self.locals[w];
-        d.q.lock().expect("worker deque poisoned").push_back(t);
-        // The owner is busy executing; this wakes nobody today, but
-        // keeps the invariant that every push signals its deque.
-        d.cv.notify_one();
-    }
-
-    /// Requeue a panicked job on the global injector for any worker to
-    /// pick up. Never takes the capacity gate (a quarantined worker
-    /// blocking on its own pool would deadlock); the transient excess
-    /// is at most one job per restart.
-    fn requeue(&self, t: Tracked) {
-        self.count_unchecked();
-        self.injector
-            .q
-            .lock()
-            .expect("pool injector poisoned")
-            .push_back(t);
-        for w in &self.locals {
-            w.cv.notify_one();
-        }
-    }
-}
-
-/// Persistent worker threads plus the per-worker deques they pull tile
-/// jobs from (work-stealing; see the module docs). Created once by
-/// [`LiquidGemm::builder`]; drop drains all queues and joins every
+/// Persistent worker threads plus the board of published calls they
+/// pull tiles from (see the module docs). Created once by
+/// [`LiquidGemm::builder`]; drop drains the board and joins every
 /// thread.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    workers: usize,
     live: Arc<AtomicUsize>,
-    epoch: AtomicU64,
-    depth_gauge: OnceLock<Arc<Gauge>>,
     mk: MicrokernelSet,
 }
 
 impl WorkerPool {
     /// A pool with no fault injector (tests and internal callers).
     #[cfg(test)]
-    pub(crate) fn new(workers: usize, queue_depth: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         Self::with_faults(
             workers,
-            queue_depth,
             PlacementPolicy::Unpinned,
             MicrokernelSet::global(),
             None,
@@ -584,21 +401,13 @@ impl WorkerPool {
 
     pub(crate) fn with_faults(
         workers: usize,
-        queue_depth: usize,
         placement: PlacementPolicy,
         mk: MicrokernelSet,
         fault: Option<Arc<FaultInjector>>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            locals: (0..workers).map(|_| WorkerDeque::new()).collect(),
-            injector: WorkerDeque::new(),
-            ctrl: Mutex::new(Ctrl {
-                queued: 0,
-                shutdown: false,
-            }),
-            space: Condvar::new(),
-            cap: queue_depth,
-            rr: AtomicUsize::new(0),
+            board: Mutex::new(Board::default()),
+            work: Condvar::new(),
             stats: (0..workers).map(|_| WorkerCounters::default()).collect(),
             lifecycle: Mutex::new(Lifecycle::default()),
             placement,
@@ -608,73 +417,78 @@ impl WorkerPool {
         for id in 0..workers {
             spawn_worker(&shared, &live, id);
         }
-        Self {
-            shared,
-            workers,
-            live,
-            epoch: AtomicU64::new(0),
-            depth_gauge: OnceLock::new(),
-            mk,
+        Self { shared, live, mk }
+    }
+
+    /// Run tiles `0..tiles` of `body` on the workers and block until
+    /// every one has finished: one publish, one `notify_all`, one wait.
+    /// `Err` means a tile panicked on every retry.
+    pub(crate) fn run(
+        &self,
+        body: Arc<dyn TileCall>,
+        tiles: usize,
+    ) -> Result<(), RetriesExhausted> {
+        if tiles == 0 {
+            return Ok(());
+        }
+        if let Some(d) = self.shared.fault.as_ref().and_then(|f| f.on_submit()) {
+            // Injected caller stall: models a burst upstream of the pool.
+            std::thread::sleep(d);
+        }
+        let (id0, corr) = if lq_trace::enabled() {
+            (
+                lq_trace::fresh_job_ids(tiles as u64),
+                lq_trace::current_corr(),
+            )
+        } else {
+            (0, 0)
+        };
+        let call = Arc::new(Call {
+            body,
+            tiles,
+            next: AtomicUsize::new(0),
+            retry: Mutex::new(Vec::new()),
+            left: AtomicUsize::new(tiles),
+            failed: AtomicBool::new(false),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+            id0,
+            corr,
+        });
+        if id0 != 0 {
+            for t in 0..tiles {
+                lq_trace::record_corr(
+                    lq_trace::EventKind::JobSubmit,
+                    lq_trace::Track::Control,
+                    corr,
+                    call.job_id(t),
+                    t as u64,
+                );
+            }
+        }
+        self.board().calls.push_back(Arc::clone(&call));
+        self.shared.work.notify_all();
+        let mut done = call.done.lock().expect("call latch poisoned");
+        while !*done {
+            done = call.done_cv.wait(done).expect("call latch poisoned");
+        }
+        drop(done);
+        self.board().calls.retain(|c| !Arc::ptr_eq(c, &call));
+        if call.failed.load(Ordering::SeqCst) {
+            Err(RetriesExhausted)
+        } else {
+            Ok(())
         }
     }
 
-    /// Place a job, blocking when the pool is at capacity (the natural
-    /// backpressure bounding in-flight tile jobs). Placement is
-    /// round-robin across worker deques, so load is spread at enqueue
-    /// time and stealing only handles the stragglers.
-    pub(crate) fn submit(&self, job: Job) {
-        if let Some(f) = &self.shared.fault {
-            if let Some(d) = f.on_submit() {
-                // Injected submitter stall: models an injector-full
-                // burst upstream of the capacity gate.
-                std::thread::sleep(d);
-            }
-        }
-        self.shared.gate_and_count();
-        let t = Tracked::fresh(job);
-        match t {
-            // Jobs with no tile affinity go to the global injector.
-            t @ Tracked {
-                job: Job::Panic { .. },
-                ..
-            } => {
-                let d = &self.shared.injector;
-                d.q.lock().expect("pool injector poisoned").push_back(t);
-                for w in &self.shared.locals {
-                    w.cv.notify_one();
-                }
-            }
-            t => {
-                let w = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.workers;
-                if t.id != 0 {
-                    lq_trace::record_corr(
-                        lq_trace::EventKind::JobSubmit,
-                        lq_trace::Track::Control,
-                        t.corr,
-                        t.id,
-                        w as u64,
-                    );
-                }
-                self.shared.place(w, t);
-            }
-        }
-        if lq_telemetry::enabled() {
-            let g = self
-                .depth_gauge
-                .get_or_init(|| lq_telemetry::registry().gauge("lq_pool_queue_depth"));
-            g.set(self.queue_len() as f64);
-        }
-    }
-
-    /// Fresh epoch for one GEMM call.
-    pub(crate) fn next_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::Relaxed)
+    fn board(&self) -> std::sync::MutexGuard<'_, Board> {
+        self.shared.board.lock().expect("pool board poisoned")
     }
 
     /// Number of worker threads the pool was built with.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.stats.len()
     }
 
     /// The microkernel family every GEMM issued through this pool
@@ -697,15 +511,8 @@ impl WorkerPool {
         self.live.load(Ordering::SeqCst)
     }
 
-    /// Jobs currently queued across all deques (racy; for occupancy
-    /// gauges).
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.shared.ctrl.lock().expect("pool ctrl poisoned").queued
-    }
-
-    /// Per-worker lifetime counters (jobs, busy-ns, steals) — the raw
-    /// material for load-balance audits independent of telemetry.
+    /// Per-worker lifetime counters (tiles, busy-ns, restarts) — the
+    /// raw material for pool audits independent of telemetry.
     #[must_use]
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.shared
@@ -714,7 +521,7 @@ impl WorkerPool {
             .map(|s| WorkerStats {
                 jobs: s.jobs.load(Ordering::Relaxed),
                 busy_ns: s.busy_ns.load(Ordering::Relaxed),
-                steals: s.steals.load(Ordering::Relaxed),
+                steals: 0,
                 restarts: s.restarts.load(Ordering::Relaxed),
                 retries: s.retries.load(Ordering::Relaxed),
                 pinned_cpu: match s.pinned.load(Ordering::Relaxed) {
@@ -736,11 +543,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared
-            .ctrl
-            .lock()
-            .expect("pool ctrl poisoned")
-            .shutdown = true;
+        self.board().shutdown = true;
         // Latch out further respawns, then take every handle spawned
         // so far — construction-time workers and panic replacements
         // alike (see [`Lifecycle`] for why this cannot race a
@@ -754,9 +557,7 @@ impl Drop for WorkerPool {
             lc.shutting_down = true;
             std::mem::take(&mut lc.handles)
         };
-        for d in &self.shared.locals {
-            d.cv.notify_all();
-        }
+        self.shared.work.notify_all();
         for h in handles {
             let _ = h.join();
         }
@@ -772,15 +573,10 @@ impl Drop for LiveGuard {
     }
 }
 
-/// How long an idle worker sleeps before re-sweeping the other deques.
-/// Placement notifies the designated worker directly, so this timeout
-/// only bounds how stale a *steal* opportunity can go unnoticed.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-
 /// Spawn (or respawn) the worker thread for slot `id`, registering its
 /// handle in the shared lifecycle state so drop can join it. A respawn
 /// that loses the race with shutdown spawns nothing — the remaining
-/// workers (or nobody, if the caller is gone) drain the queues.
+/// workers (or nobody, if the caller is gone) drain the board.
 fn spawn_worker(shared: &Arc<Shared>, live: &Arc<AtomicUsize>, id: usize) {
     let mut lc = shared.lifecycle.lock().expect("pool lifecycle poisoned");
     if lc.shutting_down {
@@ -795,55 +591,19 @@ fn spawn_worker(shared: &Arc<Shared>, live: &Arc<AtomicUsize>, id: usize) {
     lc.handles.push(h);
 }
 
-/// Find the next job: own deque (LIFO) → global injector → steal sweep
-/// (FIFO from the victim's front) → park. Returns `None` when the pool
-/// is shutting down and every queue has drained.
-fn take_job(shared: &Shared, id: usize) -> Option<(Tracked, bool)> {
+/// The oldest call with a claimable tile, parking while there is none.
+/// Returns `None` when the pool is shutting down and nothing on the
+/// board is claimable.
+fn next_call(shared: &Shared) -> Option<Arc<Call>> {
+    let mut b = shared.board.lock().expect("pool board poisoned");
     loop {
-        if let Some(j) = shared.locals[id]
-            .q
-            .lock()
-            .expect("worker deque poisoned")
-            .pop_back()
-        {
-            return Some((j, false));
+        if let Some(c) = b.calls.iter().find(|c| c.claimable()) {
+            return Some(Arc::clone(c));
         }
-        if let Some(j) = shared
-            .injector
-            .q
-            .lock()
-            .expect("pool injector poisoned")
-            .pop_front()
-        {
-            return Some((j, false));
+        if b.shutdown {
+            return None;
         }
-        for off in 1..shared.locals.len() {
-            let victim = (id + off) % shared.locals.len();
-            if let Some(j) = shared.locals[victim]
-                .q
-                .lock()
-                .expect("worker deque poisoned")
-                .pop_front()
-            {
-                return Some((j, true));
-            }
-        }
-        {
-            let c = shared.ctrl.lock().expect("pool ctrl poisoned");
-            if c.shutdown && c.queued == 0 {
-                return None;
-            }
-        }
-        // Park on the own deque's condvar; the guard re-check under the
-        // same lock closes the push-vs-park race. The timeout covers
-        // jobs that appeared on *other* deques after the sweep.
-        let q = shared.locals[id].q.lock().expect("worker deque poisoned");
-        if q.is_empty() {
-            let _ = shared.locals[id]
-                .cv
-                .wait_timeout(q, PARK_TIMEOUT)
-                .expect("worker deque poisoned");
-        }
+        b = shared.work.wait(b).expect("pool board poisoned");
     }
 }
 
@@ -854,7 +614,7 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, live: &Arc<AtomicUsize>) {
     // spawner) means a panic-respawned replacement re-pins itself to
     // the same CPU automatically. A refused mask leaves the slot
     // unpinned and is visible as `pinned_cpu: None` in worker_stats.
-    if let Some(cpu) = shared.placement.cpu_for(id, shared.locals.len()) {
+    if let Some(cpu) = shared.placement.cpu_for(id, shared.stats.len()) {
         if affinity::pin_thread(cpu) {
             shared.stats[id].pinned.store(cpu as u64, Ordering::Relaxed);
         }
@@ -862,96 +622,103 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, live: &Arc<AtomicUsize>) {
     // Per-worker metric handles, resolved once the first time telemetry
     // is observed enabled (label: worker id).
     let mut wm: Option<WorkerMetrics> = None;
-    while let Some((tracked, stolen)) = take_job(shared, id) {
-        shared.note_pop();
-        if wm.is_none() && lq_telemetry::enabled() {
-            wm = WorkerMetrics::resolve(id);
-        }
-        if stolen {
-            shared.stats[id].steals.fetch_add(1, Ordering::Relaxed);
-            if let Some(w) = &wm {
-                w.steals.inc();
+    while let Some(call) = next_call(shared) {
+        while let Some(claim) = call.claim() {
+            if wm.is_none() && lq_telemetry::enabled() {
+                wm = WorkerMetrics::resolve(id);
             }
-        }
-        let Tracked {
-            job,
-            attempts,
-            id: job_id,
-            corr,
-        } = tracked;
-        if job_id != 0 {
-            lq_trace::record_corr(
-                lq_trace::EventKind::JobStart,
-                lq_trace::Track::Worker(id as u32),
-                corr,
-                job_id,
-                u64::from(stolen),
-            );
-        }
-        // Retries are exempt from injection: a scheduled fault is
-        // transient by definition, so the retried job runs clean and
-        // recovery is as deterministic as the fault itself.
-        let force_panic = match &shared.fault {
-            Some(f) => match f.on_worker_job(attempts > 0) {
-                FaultAction::Panic => true,
-                FaultAction::Stall(d) => {
-                    std::thread::sleep(d);
-                    false
-                }
-                FaultAction::None => false,
-            },
-            None => false,
-        };
-        let t0 = std::time::Instant::now();
-        match execute(job, shared, id, corr, force_panic) {
-            JobOutcome::Done => {
-                let ns = t0.elapsed().as_nanos() as u64;
-                shared.stats[id].jobs.fetch_add(1, Ordering::Relaxed);
-                shared.stats[id].busy_ns.fetch_add(ns, Ordering::Relaxed);
-                if job_id != 0 {
-                    lq_trace::span_full(
-                        lq_trace::EventKind::JobFinish,
-                        lq_trace::Track::Worker(id as u32),
-                        corr,
-                        job_id,
-                        0,
-                        t0,
-                        0,
-                    );
-                }
-                if let Some(w) = &wm {
-                    w.busy_ns.add(ns);
-                    w.job_ns.record(ns);
-                    w.jobs.inc();
-                }
-            }
-            JobOutcome::Panicked(retry) => {
-                heal(shared, live, id, retry, attempts, job_id, corr);
+            if !run_claim(shared, id, &call, &claim, wm.as_ref()) {
+                heal(shared, live, id, &call, claim);
                 return;
             }
         }
     }
 }
 
-/// The quarantine-and-respawn path a worker takes after a job panicked
-/// under it: requeue the surviving job (bounded retries with a small
-/// attempts-proportional backoff) or abandon it to its caller, record
+/// Run one tile attempt on worker `id`, containing panics; `false`
+/// means it panicked. The fault injector's verdict is raised *inside*
+/// the caught closure so an injected fault takes the exact path a real
+/// mid-tile panic would. The worker's counters and the `JobFinish`
+/// event are written before the `left` decrement that can release the
+/// caller.
+fn run_claim(
+    shared: &Shared,
+    id: usize,
+    call: &Call,
+    claim: &Claim,
+    wm: Option<&WorkerMetrics>,
+) -> bool {
+    let job_id = call.job_id(claim.t);
+    let track = lq_trace::Track::Worker(id as u32);
+    if job_id != 0 {
+        lq_trace::record_corr(lq_trace::EventKind::JobStart, track, call.corr, job_id, 0);
+    }
+    // Retries are exempt from injection: a scheduled fault is
+    // transient by definition, so the retried tile runs clean and
+    // recovery is as deterministic as the fault itself.
+    let force_panic = match &shared.fault {
+        Some(f) => match f.on_worker_job(claim.attempts > 0) {
+            FaultAction::Panic => true,
+            FaultAction::Stall(d) => {
+                std::thread::sleep(d);
+                false
+            }
+            FaultAction::None => false,
+        },
+        None => false,
+    };
+    let span = StageSpan {
+        traced: job_id != 0,
+        worker: id as u32,
+        corr: call.corr,
+    };
+    let t0 = Instant::now();
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        if force_panic {
+            panic!("injected fault: worker panic mid-job");
+        }
+        call.body.run_tile(claim.t, &span);
+    }));
+    if res.is_err() {
+        return false;
+    }
+    let ns = t0.elapsed().as_nanos() as u64;
+    shared.stats[id].jobs.fetch_add(1, Ordering::Relaxed);
+    shared.stats[id].busy_ns.fetch_add(ns, Ordering::Relaxed);
+    if job_id != 0 {
+        lq_trace::span_full(
+            lq_trace::EventKind::JobFinish,
+            track,
+            call.corr,
+            job_id,
+            0,
+            t0,
+            0,
+        );
+    }
+    if let Some(w) = wm {
+        w.busy_ns.add(ns);
+        w.job_ns.record(ns);
+        w.jobs.inc();
+    }
+    call.finish_tile();
+    true
+}
+
+/// The quarantine-and-respawn path a worker takes after a tile
+/// panicked under it: hand the tile back to its call (bounded retries
+/// with a small attempts-proportional backoff) or fail the call, record
 /// the restart, spawn this slot's replacement, and let the quarantined
 /// thread exit (its caller `return`s out of [`worker_loop`]).
-fn heal(
-    shared: &Arc<Shared>,
-    live: &Arc<AtomicUsize>,
-    id: usize,
-    retry: Option<Job>,
-    attempts: u8,
-    job_id: u64,
-    corr: u64,
-) {
+fn heal(shared: &Arc<Shared>, live: &Arc<AtomicUsize>, id: usize, call: &Call, claim: Claim) {
+    let Claim { t, attempts } = claim;
+    let job_id = call.job_id(t);
+    let track = lq_trace::Track::Worker(id as u32);
     shared.stats[id].restarts.fetch_add(1, Ordering::Relaxed);
     lq_trace::record_corr(
         lq_trace::EventKind::WorkerQuarantine,
-        lq_trace::Track::Worker(id as u32),
-        corr,
+        track,
+        call.corr,
         job_id,
         0,
     );
@@ -959,88 +726,47 @@ fn heal(
     if let Some(m) = &fm {
         m.restarts.inc();
     }
-    if let Some(job) = retry {
-        if attempts < MAX_JOB_RETRIES {
-            shared.stats[id].retries.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &fm {
-                m.retries.inc();
-            }
-            if job_id != 0 {
-                lq_trace::record_corr(
-                    lq_trace::EventKind::JobRetry,
-                    lq_trace::Track::Worker(id as u32),
-                    corr,
-                    job_id,
-                    u64::from(attempts) + 1,
-                );
-            }
-            // Backoff before handing the job to a peer: transient
-            // faults (the only kind the injector models) clear on
-            // their own; deterministic bugs exhaust the budget fast.
-            std::thread::sleep(Duration::from_micros(50u64 << attempts));
-            shared.requeue(Tracked {
-                job,
-                attempts: attempts + 1,
-                id: job_id,
-                corr,
-            });
-        } else {
-            job.abandon();
+    if attempts < MAX_JOB_RETRIES {
+        shared.stats[id].retries.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &fm {
+            m.retries.inc();
         }
+        if job_id != 0 {
+            lq_trace::record_corr(
+                lq_trace::EventKind::JobRetry,
+                track,
+                call.corr,
+                job_id,
+                u64::from(attempts) + 1,
+            );
+        }
+        // Backoff before handing the tile to a peer: transient
+        // faults (the only kind the injector models) clear on
+        // their own; deterministic bugs exhaust the budget fast.
+        std::thread::sleep(Duration::from_micros(50u64 << attempts));
+        // Under the board lock, so a worker between its claimable
+        // check and its park cannot miss the hand-back.
+        let board = shared.board.lock().expect("pool board poisoned");
+        call.retry.lock().expect("retry list poisoned").push(Claim {
+            t,
+            attempts: attempts + 1,
+        });
+        drop(board);
+        shared.work.notify_all();
+    } else {
+        call.fail();
     }
     spawn_worker(shared, live, id);
-    lq_trace::record_corr(
-        lq_trace::EventKind::WorkerRespawn,
-        lq_trace::Track::Worker(id as u32),
-        corr,
-        0,
-        0,
-    );
+    lq_trace::record_corr(lq_trace::EventKind::WorkerRespawn, track, call.corr, 0, 0);
 }
 
-/// What became of one job attempt. On `Panicked` the job survived the
-/// unwind (the caught closure only borrowed it), so it can be retried
-/// on another worker; `Panicked(None)` means there is nothing to retry
-/// (the test-injected [`Job::Panic`] probe, which already replied).
-enum JobOutcome {
-    Done,
-    Panicked(Option<Job>),
-}
+/// [`LiquidGemm::inject_worker_panic`]'s one-tile call: panics on every
+/// attempt, so it runs through the whole retry budget.
+struct PanicProbe;
 
-/// Run one job attempt, containing panics. `force_panic` is the fault
-/// injector's verdict for this attempt — raised *inside* the caught
-/// closure so the injected fault takes the exact path a real mid-job
-/// panic would. `corr` is the job's causal correlation ID.
-fn execute(job: Job, shared: &Shared, id: usize, corr: u64, force_panic: bool) -> JobOutcome {
-    let span = StageSpan {
-        t0: lq_trace::enabled().then(std::time::Instant::now),
-        worker: id as u32,
-        corr,
-    };
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        if force_panic {
-            panic!("injected fault: worker panic mid-job");
-        }
-        job.run(&span)
-    }));
-    match (res, job) {
-        (Ok(forward), _) => {
-            if let Some(next) = forward {
-                // Onto our own deque: popped next (LIFO) while the
-                // materialised tile is still cache-hot, or stolen by
-                // an idle worker.
-                shared.push_local(id, next, corr);
-            }
-            JobOutcome::Done
-        }
-        // The probe quarantines its worker like any real panic, so
-        // tests exercising it also exercise respawn — but there is no
-        // job to retry.
-        (Err(_), probe @ Job::Panic { .. }) => {
-            probe.abandon();
-            JobOutcome::Panicked(None)
-        }
-        (Err(_), job) => JobOutcome::Panicked(Some(job)),
+impl TileCall for PanicProbe {
+    fn run_tile(&self, _t: usize, _span: &StageSpan) {
+        panic!("injected worker panic");
     }
 }
 
@@ -1076,8 +802,8 @@ pub struct LiquidGemm {
 
 impl LiquidGemm {
     /// Start configuring a handle. Defaults: `workers` =
-    /// `available_parallelism` capped at 8, `task_rows` 8,
-    /// `queue_depth` 64.
+    /// `available_parallelism` capped at 8, `task_rows`
+    /// [`SIMD_STRIP`](crate::microkernel::SIMD_STRIP) (whole strips).
     #[must_use]
     pub fn builder() -> LiquidGemmBuilder {
         LiquidGemmBuilder::default()
@@ -1154,27 +880,24 @@ impl LiquidGemm {
         }
     }
 
-    /// Test probe: make one worker panic inside a job and wait for the
-    /// contained report. The pool must keep working afterwards.
+    /// Test probe: run a one-tile call that panics on every attempt
+    /// and wait for the pool to give up on it. The pool must keep
+    /// working afterwards.
     #[doc(hidden)]
     pub fn inject_worker_panic(&self) {
-        let (tx, rx) = bounded(1);
-        self.pool.submit(Job::Panic { reply: tx });
-        match rx.recv() {
-            Ok(Reply::Panicked) => {}
-            _ => panic!("expected a contained panic reply"),
-        }
+        assert!(
+            self.pool.run(Arc::new(PanicProbe), 1).is_err(),
+            "expected the probe to exhaust its retries"
+        );
     }
 }
 
 /// Builder for [`LiquidGemm`]; validates like
-/// [`ParallelConfig::builder`] and additionally requires
-/// `queue_depth >= 1`.
+/// [`ParallelConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct LiquidGemmBuilder {
     workers: usize,
     task_rows: usize,
-    queue_depth: usize,
     backend: BackendId,
     placement: PlacementPolicy,
     microkernel: Option<SimdVariant>,
@@ -1186,8 +909,7 @@ impl Default for LiquidGemmBuilder {
         let workers = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         Self {
             workers: workers.clamp(1, 8),
-            task_rows: 8,
-            queue_depth: 64,
+            task_rows: ParallelConfig::default().task_rows,
             backend: BackendId::Lqq,
             placement: PlacementPolicy::Unpinned,
             microkernel: None,
@@ -1208,14 +930,6 @@ impl LiquidGemmBuilder {
     #[must_use]
     pub fn task_rows(mut self, r: usize) -> Self {
         self.task_rows = r;
-        self
-    }
-
-    /// Injector queue capacity (validated ≥ 1). Bounds how many tile
-    /// jobs can wait unexecuted; submitters block beyond it.
-    #[must_use]
-    pub fn queue_depth(mut self, q: usize) -> Self {
-        self.queue_depth = q;
         self
     }
 
@@ -1268,9 +982,6 @@ impl LiquidGemmBuilder {
             .task_rows(self.task_rows)
             .placement(self.placement)
             .build()?;
-        if self.queue_depth == 0 {
-            return Err(ConfigError::ZeroQueueDepth);
-        }
         let mk = match self.microkernel {
             Some(v) => {
                 MicrokernelSet::for_variant(v).ok_or(ConfigError::UnsupportedMicrokernel(v))?
@@ -1278,13 +989,7 @@ impl LiquidGemmBuilder {
             None => MicrokernelSet::global(),
         };
         Ok(LiquidGemm {
-            pool: WorkerPool::with_faults(
-                defaults.workers,
-                self.queue_depth,
-                defaults.placement,
-                mk,
-                self.fault,
-            ),
+            pool: WorkerPool::with_faults(defaults.workers, defaults.placement, mk, self.fault),
             defaults,
             backend: self.backend,
         })
@@ -1451,10 +1156,6 @@ mod tests {
             LiquidGemm::builder().task_rows(0).build(),
             Err(ConfigError::ZeroTaskRows)
         ));
-        assert!(matches!(
-            LiquidGemm::builder().queue_depth(0).build(),
-            Err(ConfigError::ZeroQueueDepth)
-        ));
     }
 
     #[test]
@@ -1584,8 +1285,10 @@ mod tests {
                 .worker_stall_at(1, 100)
                 .submit_stall_at(0, 100),
         ));
+        // Two tiles, so there is a second fresh tile to stall.
         let lg = LiquidGemm::builder()
             .workers(2)
+            .task_rows(8)
             .fault_injector(Arc::clone(&inj))
             .build()
             .unwrap();

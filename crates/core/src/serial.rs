@@ -6,7 +6,7 @@
 //! §5.3 main loop — per strip of output channels, per K block:
 //! dequantize, then the register-tile MMA against all tokens — and it
 //! exists once: [`w4a8_serial`] runs it over the whole matrix on the
-//! calling thread, a pool Compute job ([`crate::runtime`]) runs it over
+//! calling thread, a fused pool tile ([`crate::runtime`]) runs it over
 //! its row range of the same shared weights. The *only* difference
 //! between two backends is the dequantization they plug in, making the
 //! LQQ-vs-QoQ benchmark a pure algorithm comparison, exactly like the
@@ -42,7 +42,7 @@ pub(crate) fn check_shapes(x: &Mat<i8>, act_scales: Option<&[f32]>, w: &dyn Pack
 }
 
 /// The fused dequant→MMA strip loop — the body of the serial kernel
-/// and of every pool Compute job (Flat and ImFP). Channels
+/// and of every fused pool tile (Flat and ImFP). Channels
 /// `[j0, j0 + rows)` of `w` are walked a `strip_width()`-row strip at a
 /// time; each K block ([`MicrokernelSet::kc_block`] — one group for the
 /// scalar family, an L1-sized run of groups for the SIMD ones) is
@@ -149,7 +149,7 @@ pub(crate) fn dense_kernel(
 }
 
 /// The serial kernel for any output sink: the whole weight matrix as
-/// one strip-loop run on the calling thread (a pool Compute job whose
+/// one strip-loop run on the calling thread (a fused pool tile whose
 /// row range is everything). Returns the flat `N×M` tile, as the pool
 /// driver does.
 pub(crate) fn serial_tiles<S: Sink>(

@@ -52,7 +52,7 @@ use lq_quant::mat::Mat;
 
 use crate::api::{GemmOutput, KernelKind, W4A8Weights};
 use crate::epilogue::{ExactSum, ScaleEpilogue, Sink};
-use crate::pipeline::{drive, ConfigError};
+use crate::pipeline::{drive, ConfigError, ParallelConfig};
 use crate::runtime::{LiquidGemm, LiquidGemmBuilder};
 use crate::serial::check_shapes;
 use crate::simd::SimdVariant;
@@ -625,7 +625,7 @@ impl Default for ShardedGemmBuilder {
         Self {
             shards: 2,
             workers_per_shard: 2,
-            task_rows: 8,
+            task_rows: ParallelConfig::default().task_rows,
             backend: BackendId::Lqq,
             force_microkernel: None,
             fault: None,
@@ -648,7 +648,8 @@ impl ShardedGemmBuilder {
         self
     }
 
-    /// Output-channel rows per tile job within each shard (default 8).
+    /// Output-channel rows per tile within each shard (default as
+    /// [`LiquidGemm::builder`]: whole SIMD strips).
     #[must_use]
     pub fn task_rows(mut self, r: usize) -> Self {
         self.task_rows = r;

@@ -15,36 +15,32 @@
 //! | `lq_gemm_ns` | histogram | whole-call wall-clock latency |
 //! | `lq_pipeline_task_ns{role}` | histogram | per-task span in each role |
 //! | `lq_pipeline_tasks_total` | counter | tasks executed |
-//! | `lq_pipeline_queue_depth{queue="task"}` | gauge | queued-job count after each submit |
 //!
 //! plus the pool-level families (labeled per `worker`):
 //!
 //! | metric | kind | meaning |
 //! |--------|------|---------|
-//! | `lq_pool_queue_depth` | gauge | queued-job count after each submit |
 //! | `lq_pool_jobs_total{worker}` | counter | jobs executed by each worker |
-//! | `lq_pool_busy_ns_total{worker}` | counter | time each worker spent executing (vs parked) — the per-worker occupancy the balance gate audits |
-//! | `lq_pool_steal_total{worker}` | counter | jobs this worker stole from another worker's deque |
+//! | `lq_pool_busy_ns_total{worker}` | counter | time each worker spent executing (vs parked) |
 //! | `lq_pool_job_ns{worker}` | histogram | per-job latency |
 //! | `lq_pool_worker_restarts_total` | counter | worker threads quarantined and respawned after a job panic |
-//! | `lq_pool_job_retries_total` | counter | panicked jobs requeued for another attempt (0 in any fault-free run — the CI smoke bench gates on it) |
+//! | `lq_pool_job_retries_total` | counter | panicked tiles handed back for another attempt (0 in any fault-free run — the CI smoke bench gates on it) |
 //!
 //! Roles mirror the paper's compute warp groups: `compute` is the
-//! fused dequant+MMA job (Flat/ImFP), `dequant`/`mma` the split ExCP
-//! job halves. (The Load role has no span: the producer only enqueues
-//! row ranges, and weight streaming is the cache hierarchy's.) The
+//! fused dequant+MMA tile (Flat/ImFP), `dequant`/`mma` the two stages
+//! of an ExCP tile. (The Load role has no span: the producer only
+//! publishes the call, and weight streaming is the cache hierarchy's.) The
 //! `dequant` and `mma` series are registered *only* for the `excp`
 //! variant — the only one whose pipeline has those roles — so exports
 //! never carry dead always-zero series for `flat`/`imfp`.
 
 use std::sync::Arc;
 
-use lq_telemetry::{registry, Counter, Gauge, Histogram, OwnedSpan};
+use lq_telemetry::{registry, Counter, Histogram, OwnedSpan};
 
 /// Handles for one pipeline variant's metric families.
 pub(crate) struct PipeMetrics {
     pub tasks: Arc<Counter>,
-    pub depth_task: Arc<Gauge>,
     pub task_ns_compute: Arc<Histogram>,
     /// ExCP only — `flat`/`imfp` have no dequant role, and registering
     /// the series there would export misleading always-zero histograms.
@@ -71,14 +67,6 @@ impl PipeMetrics {
         let split = variant == "excp";
         Some(Self {
             tasks: reg.counter_with("lq_pipeline_tasks_total", &v),
-            depth_task: reg.gauge_with(
-                "lq_pipeline_queue_depth",
-                &[
-                    ("variant", variant),
-                    ("backend", backend),
-                    ("queue", "task"),
-                ],
-            ),
             task_ns_compute: reg
                 .histogram_with("lq_pipeline_task_ns", &role(variant, backend, "compute")),
             task_ns_dequant: split.then(|| {
@@ -95,7 +83,6 @@ impl PipeMetrics {
 pub(crate) struct WorkerMetrics {
     pub jobs: Arc<Counter>,
     pub busy_ns: Arc<Counter>,
-    pub steals: Arc<Counter>,
     pub job_ns: Arc<Histogram>,
 }
 
@@ -112,7 +99,6 @@ impl WorkerMetrics {
         Some(Self {
             jobs: reg.counter_with("lq_pool_jobs_total", &l),
             busy_ns: reg.counter_with("lq_pool_busy_ns_total", &l),
-            steals: reg.counter_with("lq_pool_steal_total", &l),
             job_ns: reg.histogram_with("lq_pool_job_ns", &l),
         })
     }

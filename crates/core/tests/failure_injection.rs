@@ -76,32 +76,6 @@ fn worker_panic_propagates_not_deadlocks() {
     assert_eq!(max_abs_diff(&y, &base), 0.0);
 }
 
-/// Raw channel-level variant of the same property: once a consumer
-/// dies, its `Receiver` drop disconnects the channel so a producer's
-/// `send` fails instead of blocking forever.
-#[test]
-fn channel_disconnect_prevents_send_deadlock() {
-    let result = std::panic::catch_unwind(|| {
-        std::thread::scope(|sc| {
-            let (tx, rx) = lq_core::sync::bounded::<usize>(2);
-            sc.spawn(move || {
-                for i in 0..10 {
-                    if tx.send(i).is_err() {
-                        // Consumer died; stop producing.
-                        return;
-                    }
-                }
-            });
-            sc.spawn(move || {
-                while let Ok(v) = rx.recv() {
-                    assert!(v < 5, "injected failure at {v}");
-                }
-            });
-        });
-    });
-    assert!(result.is_err(), "the injected panic must surface");
-}
-
 /// Zero-size edge: N smaller than one task and M = 1 must work through
 /// every pipeline.
 #[test]

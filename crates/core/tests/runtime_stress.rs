@@ -5,12 +5,12 @@
 //! proving workers join on drop and survive panics in jobs.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use lq_core::api::W4A8Weights;
 use lq_core::reference::max_abs_diff;
 use lq_core::serial::w4a8_serial;
-use lq_core::{KernelKind, LiquidGemm, PackedLqqLinear, PackedQoqLinear};
+use lq_core::{FaultInjector, FaultPlan, KernelKind, LiquidGemm, PackedLqqLinear, PackedQoqLinear};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
 use lq_rng::Rng;
@@ -62,28 +62,21 @@ fn build_cases() -> Vec<Case> {
 const PARALLEL_KINDS: [KernelKind; 3] =
     [KernelKind::FlatParallel, KernelKind::ExCp, KernelKind::ImFp];
 
-/// The acceptance property: several caller threads hammer one shared
-/// handle with mixed schemes, shapes, and variants concurrently; every
-/// single result is bit-exact (`max_abs_diff == 0.0`) vs serial.
-#[test]
-fn concurrent_mixed_gemms_bit_exact() {
-    const CALLERS: usize = 4;
-    const ITERS: usize = 30;
+/// `callers` threads, released together, hammer one shared handle with
+/// mixed schemes, shapes, and variants; every single result must be
+/// bit-exact (`max_abs_diff == 0.0`) vs serial.
+fn hammer(lg: &Arc<LiquidGemm>, callers: usize, iters: usize) {
     let cases = Arc::new(build_cases());
-    let lg = Arc::new(
-        LiquidGemm::builder()
-            .workers(4)
-            .task_rows(5)
-            .build()
-            .unwrap(),
-    );
+    let start = Arc::new(Barrier::new(callers));
     let mut handles = Vec::new();
-    for caller in 0..CALLERS {
+    for caller in 0..callers {
         let cases = Arc::clone(&cases);
-        let lg = Arc::clone(&lg);
+        let lg = Arc::clone(lg);
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
             let mut rng = Rng::new(0xBEEF + caller as u64);
-            for iter in 0..ITERS {
+            start.wait();
+            for iter in 0..iters {
                 let case = &cases[rng.range_usize(0, cases.len())];
                 let kind = PARALLEL_KINDS[rng.range_usize(0, PARALLEL_KINDS.len())];
                 let (weights, want) = if rng.range_usize(0, 2) == 0 {
@@ -105,6 +98,62 @@ fn concurrent_mixed_gemms_bit_exact() {
     }
 }
 
+/// The acceptance property: several caller threads share one handle
+/// concurrently and every result is bit-exact.
+#[test]
+fn concurrent_mixed_gemms_bit_exact() {
+    let lg = LiquidGemm::builder()
+        .workers(4)
+        .task_rows(5)
+        .build()
+        .unwrap();
+    hammer(&Arc::new(lg), 4, 30);
+}
+
+/// The same with more callers than workers and worker panics scheduled
+/// across the run: several calls sit on the board while a tile is on a
+/// retry list and a slot is respawning. Every scheduled panic fires,
+/// every one is healed by exactly one retry, and nothing leaks.
+#[test]
+fn concurrent_callers_outnumbering_workers_heal_bit_exact() {
+    const WORKERS: usize = 2;
+    let inj = Arc::new(FaultInjector::new(
+        FaultPlan::quiet().worker_panics_at(&[0, 5, 11, 23, 47, 95, 96, 150]),
+    ));
+    let lg = Arc::new(
+        LiquidGemm::builder()
+            .workers(WORKERS)
+            .task_rows(5)
+            .fault_injector(Arc::clone(&inj))
+            .build()
+            .unwrap(),
+    );
+    // 6 callers × 30 calls of at least one tile each: every scheduled
+    // index is reached.
+    hammer(&lg, 6, 30);
+    let fired = inj.stats().worker_panics;
+    assert_eq!(fired, 8, "not every scheduled panic fired");
+    let stats = lg.pool().worker_stats();
+    assert_eq!(stats.iter().map(|w| w.restarts).sum::<u64>(), fired);
+    assert_eq!(stats.iter().map(|w| w.retries).sum::<u64>(), fired);
+    // Replacements bring the pool back to full strength (thread
+    // start-up is asynchronous to the call that healed).
+    for _ in 0..200 {
+        if lg.pool().live_workers() == WORKERS {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(lg.pool().live_workers(), WORKERS);
+    let probe = lg.pool().live_probe();
+    drop(lg);
+    assert_eq!(
+        probe.load(Ordering::SeqCst),
+        0,
+        "a healed pool leaked a thread"
+    );
+}
+
 /// Dropping the handle joins every worker thread — no leak. The probe
 /// outlives the pool and must read zero afterwards.
 #[test]
@@ -122,8 +171,8 @@ fn drop_joins_workers_no_leak() {
     );
 }
 
-/// A panic inside a job must not deadlock drop: the worker contains it,
-/// keeps serving, and still consumes its poison pill.
+/// A panic inside a job must not deadlock drop: the pool contains it,
+/// respawns the slot, and keeps serving.
 #[test]
 fn panic_in_job_then_clean_drop() {
     let lg = LiquidGemm::builder().workers(2).build().unwrap();

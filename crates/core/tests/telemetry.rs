@@ -114,8 +114,7 @@ fn pool_metrics_are_exported() {
     let before = jobs.get();
     let _ = lg.gemm(&x, &s, &weights, KernelKind::ImFp);
     let _ = lg.gemm(&x, &s, &weights, KernelKind::ExCp);
-    // ImFP: 4 compute jobs; ExCP: 4 dequant jobs (+ up to 4 queued MMA
-    // jobs, some possibly inlined). At minimum the 8 first-hop jobs ran.
+    // 4 tiles per call, whatever the kind.
     assert!(
         jobs.get() >= before + 8,
         "worker 0 executed the submitted jobs ({} -> {})",
@@ -123,6 +122,5 @@ fn pool_metrics_are_exported() {
         jobs.get()
     );
     let prom = reg.to_prometheus();
-    assert!(prom.contains("lq_pool_queue_depth"), "{prom}");
     assert!(prom.contains("lq_pool_busy_ns_total"), "{prom}");
 }

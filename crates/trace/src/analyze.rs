@@ -4,9 +4,9 @@
 //! APEX4-style rebalancing work needs:
 //!
 //! * [`pool_attribution`] — where pool jobs spent their lives:
-//!   **queueing** (submit → start on the designated worker), **steal
-//!   delay** (submit → start when another worker stole the job), and
-//!   **compute** (start → finish), plus the **worker-overlap ratio**
+//!   **queueing** (publish → start on whichever worker claimed the
+//!   tile) and **compute** (start → finish), plus the
+//!   **worker-overlap ratio**
 //!   (aggregate compute ÷ workers × wall — 1.0 means every worker was
 //!   busy for the whole trace window).
 //! * [`request_paths`] — per-request latency decomposition on the
@@ -31,13 +31,8 @@ use std::collections::HashMap;
 pub struct PoolAttribution {
     /// Jobs that both started and finished inside the trace window.
     pub jobs: u64,
-    /// Of those, how many ran on a worker other than the one they were
-    /// placed on (work-stealing).
-    pub stolen_jobs: u64,
-    /// Submit → start delay for jobs run by their designated worker.
+    /// Submit → start delay.
     pub queue_ns: u64,
-    /// Submit → start delay for stolen jobs.
-    pub steal_ns: u64,
     /// Start → finish execution time.
     pub compute_ns: u64,
     /// Trace window: first job start to last job finish.
@@ -78,11 +73,11 @@ pub struct RequestPath {
 /// trace started, still running at drain) are ignored.
 #[must_use]
 pub fn pool_attribution(events: &[Event]) -> PoolAttribution {
-    // job id → (submit ts, start ts, stolen, finish span).
+    // job id → (submit ts, start ts, finish span).
     #[derive(Default, Clone, Copy)]
     struct JobRec {
         submit: Option<u64>,
-        start: Option<(u64, bool)>,
+        start: Option<u64>,
         finish: Option<(u64, u64)>,
     }
     let mut jobs: HashMap<u64, JobRec> = HashMap::new();
@@ -90,9 +85,7 @@ pub fn pool_attribution(events: &[Event]) -> PoolAttribution {
     for ev in events {
         match ev.kind {
             EventKind::JobSubmit => jobs.entry(ev.a).or_default().submit = Some(ev.ts_ns),
-            EventKind::JobStart => {
-                jobs.entry(ev.a).or_default().start = Some((ev.ts_ns, ev.b != 0));
-            }
+            EventKind::JobStart => jobs.entry(ev.a).or_default().start = Some(ev.ts_ns),
             EventKind::JobFinish => {
                 jobs.entry(ev.a).or_default().finish = Some((ev.ts_ns, ev.dur_ns));
                 if let Track::Worker(w) = ev.track {
@@ -111,19 +104,13 @@ pub fn pool_attribution(events: &[Event]) -> PoolAttribution {
     };
     let mut window: Option<(u64, u64)> = None;
     for rec in jobs.values() {
-        let (Some((start, stolen)), Some((fts, fdur))) = (rec.start, rec.finish) else {
+        let (Some(start), Some((fts, fdur))) = (rec.start, rec.finish) else {
             continue;
         };
         out.jobs += 1;
         out.compute_ns += fdur;
         if let Some(submit) = rec.submit {
-            let wait = start.saturating_sub(submit);
-            if stolen {
-                out.stolen_jobs += 1;
-                out.steal_ns += wait;
-            } else {
-                out.queue_ns += wait;
-            }
+            out.queue_ns += start.saturating_sub(submit);
         }
         let (lo, hi) = window.unwrap_or((u64::MAX, 0));
         window = Some((lo.min(fts), hi.max(fts + fdur)));
@@ -282,16 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_attribution_splits_queue_steal_compute() {
+    fn pool_attribution_splits_queue_compute() {
         let evs = [
-            // Job 1: placed on worker 0, run there. 100ns queue, 400ns compute.
+            // Job 1: 100ns queue, 400ns compute.
             e(EventKind::JobSubmit, Track::Control, 0, 0, 0, 1, 0),
             e(EventKind::JobStart, Track::Worker(0), 100, 0, 0, 1, 0),
             e(EventKind::JobFinish, Track::Worker(0), 100, 400, 0, 1, 0),
-            // Job 2: placed on worker 0, stolen by worker 1. 250ns steal
-            // delay, 250ns compute.
+            // Job 2: 250ns queue, 250ns compute.
             e(EventKind::JobSubmit, Track::Control, 50, 0, 0, 2, 0),
-            e(EventKind::JobStart, Track::Worker(1), 300, 0, 0, 2, 1),
+            e(EventKind::JobStart, Track::Worker(1), 300, 0, 0, 2, 0),
             e(EventKind::JobFinish, Track::Worker(1), 300, 250, 0, 2, 0),
             // Job 3: still running at drain — ignored.
             e(EventKind::JobSubmit, Track::Control, 60, 0, 0, 3, 0),
@@ -299,9 +285,7 @@ mod tests {
         ];
         let a = pool_attribution(&evs);
         assert_eq!(a.jobs, 2);
-        assert_eq!(a.stolen_jobs, 1);
-        assert_eq!(a.queue_ns, 100);
-        assert_eq!(a.steal_ns, 250);
+        assert_eq!(a.queue_ns, 350);
         assert_eq!(a.compute_ns, 650);
         // Window: first finish-start 100 → last finish-end 550.
         assert_eq!(a.wall_ns, 450);

@@ -46,15 +46,15 @@
 //!
 //! | kind | site | payload `a` | payload `b` |
 //! |------|------|-------------|-------------|
-//! | `JobSubmit` | pool submit / self-forward | job id | designated worker |
-//! | `JobStart` | worker loop | job id | 1 if stolen |
+//! | `JobSubmit` | pool publish (one per tile) | job id | tile index |
+//! | `JobStart` | worker loop | job id | 0 |
 //! | `JobFinish` | worker loop (span) | job id | 0 |
-//! | `JobRetry` | self-healing requeue | job id | attempt # |
-//! | `WorkerQuarantine` | self-healing | job id (0 = probe) | 0 |
+//! | `JobRetry` | self-healing hand-back | job id | attempt # |
+//! | `WorkerQuarantine` | self-healing | job id (0 = untraced) | 0 |
 //! | `WorkerRespawn` | self-healing | 0 | 0 |
-//! | `StageCompute` | Flat/ImFP job (span) | `j0` | rows |
-//! | `StageDequant` | ExCP stage 2 (span) | `j0` | rows |
-//! | `StageMma` | ExCP stage 3 (span) | `j0` | rows |
+//! | `StageCompute` | Flat/ImFP tile (span) | `j0` | rows |
+//! | `StageDequant` | ExCP tile, materialise (span) | `j0` | rows |
+//! | `StageMma` | ExCP tile, MMA (span) | `j0` | rows |
 //! | `ReqIngest` | serving ingest | prompt len | output len |
 //! | `ReqAdmit` | serving admission | reserved tokens | 0 |
 //! | `ReqPrefill` | serving prefill (span) | 0 | 0 |
@@ -432,10 +432,11 @@ pub fn corr_scope(corr: u64) -> CorrGuard {
     CorrGuard { prev }
 }
 
-/// A fresh pool-job ID (unique process-wide, never 0).
+/// The first of `n` consecutive fresh pool-job IDs (unique
+/// process-wide, never 0) — one per tile of a published call.
 #[must_use]
-pub fn fresh_job_id() -> u64 {
-    NEXT_JOB.fetch_add(1, Ordering::Relaxed)
+pub fn fresh_job_ids(n: u64) -> u64 {
+    NEXT_JOB.fetch_add(n, Ordering::Relaxed)
 }
 
 /// A fresh batched-decode-step correlation ID. The top bit is set so

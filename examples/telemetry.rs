@@ -8,8 +8,8 @@
 //! * `lq-core` — per-variant call-latency histograms (`lq_gemm_ns`),
 //!   per-role task-span timings and task counters from the pipeline
 //!   driver, plus the persistent worker pool's own families:
-//!   `lq_pool_queue_depth`, per-worker `lq_pool_jobs_total`,
-//!   `lq_pool_busy_ns_total`, and `lq_pool_job_ns`.
+//!   per-worker `lq_pool_jobs_total`, `lq_pool_busy_ns_total`, and
+//!   `lq_pool_job_ns`.
 //! * `lq-serving` — decode-step latency histogram (p50/p95/p99),
 //!   per-step batch-size histogram, KV-page occupancy gauges, admission
 //!   and OOM counters, end-of-run tokens/s.

@@ -16,8 +16,8 @@
 //!    default; open it at <https://ui.perfetto.dev> — one track per
 //!    worker, one per request);
 //! 4. run the analyzer: per-request critical paths (queue / prefill /
-//!    decode / other) and pool attribution (queueing vs steal delay vs
-//!    compute, worker-overlap ratio);
+//!    decode / other) and pool attribution (queueing vs compute,
+//!    worker-overlap ratio);
 //! 5. cross-check: the analyzer's summed per-request totals must agree
 //!    with the independently recorded `lq_serving_request_latency_ns`
 //!    histogram to within 5% — the trace is evidence, not decoration.
@@ -75,8 +75,7 @@ fn main() {
         stats.decode_steps,
         stats.throughput()
     );
-    // Workers record `job_finish` *after* the reply that unblocks the
-    // caller; joining the pool flushes every in-flight event.
+    // Join the pool's workers before draining their rings.
     drop(model);
     drop(pool);
 
@@ -114,13 +113,11 @@ fn main() {
     // ── Analyzer: pool attribution ──────────────────────────────────
     let pa = trace::analyze::pool_attribution(&events);
     println!(
-        "\npool: {} jobs ({} stolen) on {} workers — queue {} ms, steal-delay {} ms, \
-         compute {} ms, wall {} ms, overlap {:.2}",
+        "\npool: {} jobs on {} workers — queue {} ms, compute {} ms, wall {} ms, \
+         overlap {:.2}",
         pa.jobs,
-        pa.stolen_jobs,
         pa.workers,
         ms(pa.queue_ns),
-        ms(pa.steal_ns),
         ms(pa.compute_ns),
         ms(pa.wall_ns),
         pa.overlap_ratio
