@@ -1,8 +1,9 @@
 //! Microbenchmark: the dequantization microkernels.
 //!
 //! Measures the real CPU cost of LQQ's IMAD+XOR path against QoQ's
-//! emulated-vsub4 path on identical packed data — the per-register
-//! instruction-count gap (7 vs 19) should show up as wall-clock.
+//! emulated-vsub4 path through the block dequant the strip kernel calls
+//! — the per-register instruction-count gap (7 vs 19) should show up
+//! as wall-clock.
 //!
 //! Plain main (no criterion: the sandbox is offline); `--json` dumps
 //! the telemetry registry to `BENCH_dequant.json`.
@@ -10,45 +11,32 @@
 use std::hint::black_box;
 
 use lq_bench::bench_case;
-use lq_core::microkernel::{dequant_group_lqq, dequant_group_qoq};
-use lq_quant::lqq::LqqGroup;
-use lq_quant::qoq::QoqGroup;
+use lq_quant::backend::PackedWeights;
+use lq_quant::mat::Mat;
+use lq_quant::{PackedLqqLinear, PackedQoqLinear};
 
 fn main() {
     let _json = lq_bench::json_dump("dequant");
-    const GROUPS: usize = 1024;
+    // One 16-row strip × 1024 groups of 64: the strip kernel's
+    // one-call-per-K-block shape, over the same weights for both schemes.
+    const ROWS: usize = 16;
     const GROUP: usize = 64;
-    let source: Vec<i8> = (0..GROUPS * GROUP)
-        .map(|i| ((i * 37) % 239 - 119) as i8)
-        .collect();
+    const K: usize = 4096;
+    let w = Mat::from_fn(ROWS, K, |r, c| ((r * K + c) as f32 * 0.07).sin());
+    let lqq = PackedLqqLinear::quantize(&w, GROUP);
+    let qoq = PackedQoqLinear::quantize(&w, GROUP);
 
-    // Quantize once per scheme; store packed words + params.
-    let mut lqq_words = Vec::new();
-    let mut lqq_params = Vec::new();
-    let mut qoq_words = Vec::new();
-    let mut qoq_params = Vec::new();
-    for g in source.chunks_exact(GROUP) {
-        let (p, codes) = LqqGroup::quantize(g);
-        lqq_params.push(p);
-        lqq_words.push(lq_layout::pack::pack_row_words(&codes));
-        let (p, codes) = QoqGroup::quantize(g);
-        qoq_params.push(p);
-        qoq_words.push(lq_layout::pack::pack_row_words(&codes));
+    println!("dequant ({} elements per pass)", ROWS * K);
+    let mut out = vec![0i8; ROWS * 512];
+    for (label, p) in [
+        ("lqq_imad_xor", &lqq as &dyn PackedWeights),
+        ("qoq_emulated_vsub4", &qoq),
+    ] {
+        bench_case(label, 20, || {
+            for g0 in (0..K / GROUP).step_by(512 / GROUP) {
+                black_box(p).dequant_block(0, ROWS, g0, &mut out);
+            }
+            black_box(out[0]);
+        });
     }
-
-    println!("dequant ({} elements per pass)", GROUPS * GROUP);
-    let mut out = vec![0i8; GROUP];
-    bench_case("lqq_imad_xor", 20, || {
-        for (words, &p) in lqq_words.iter().zip(lqq_params.iter()) {
-            dequant_group_lqq(black_box(words), p, &mut out);
-        }
-        black_box(out[0]);
-    });
-    let mut out = vec![0i8; GROUP];
-    bench_case("qoq_emulated_vsub4", 20, || {
-        for (words, &p) in qoq_words.iter().zip(qoq_params.iter()) {
-            dequant_group_qoq(black_box(words), p, &mut out);
-        }
-        black_box(out[0]);
-    });
 }

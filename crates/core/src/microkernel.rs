@@ -40,13 +40,11 @@ use lq_quant::mat::Mat;
 
 use crate::simd::{self, SimdVariant};
 
-// The SWAR group-dequant primitives moved to `lq_quant::dequant` with
-// the kernel-backend redesign (the algorithm is a property of the
-// packed weights now); re-exported here so kernel code and downstream
-// crates keep their import paths.
-pub use lq_quant::dequant::{
-    dequant8_lqq_raw, dequant8_qoq_raw, dequant_group_lqq, dequant_group_qoq,
-};
+// The SWAR dequant primitives moved to `lq_quant::dequant` with the
+// kernel-backend redesign (the algorithm is a property of the packed
+// weights now); re-exported here so kernel code and downstream crates
+// keep their import paths.
+pub use lq_quant::dequant::{dequant8_lqq_raw, dequant8_qoq_raw};
 
 /// INT8 dot product with i32 accumulation — the CPU stand-in for the
 /// tensor-core INT8 MMA. Written as a plain indexed loop so LLVM emits

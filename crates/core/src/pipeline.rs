@@ -376,7 +376,7 @@ mod tests {
                 let mut full_i8 = Mat::zeros(n, k);
                 for j in 0..n {
                     for (g, dst) in full_i8.row_mut(j).chunks_mut(group).enumerate() {
-                        full.dequant_row_group(j, g, dst);
+                        full.dequant_block(j, 1, g, dst);
                     }
                 }
                 let windows = [

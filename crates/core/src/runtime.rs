@@ -38,12 +38,12 @@
 //! holds the shared weights, the packed activation panels, the sink
 //! with its scales and the flat `N×M` output; tile `t` covers output
 //! channels `[t·task_rows, …)` and dequantizes straight from the shared
-//! weights through the same [`PackedWeights::dequant_row_group`] the
-//! serial kernel calls. Workers compute a tile into an owned chunk and
-//! copy it into the call's output under its mutex; the caller
-//! transposes. Integer accumulation is exact, so results stay
-//! bit-identical to the serial kernels no matter which worker runs
-//! which tile in which order.
+//! weights through the same [`PackedWeights::dequant_block`] the
+//! serial kernel calls, once per strip K block. Workers compute a tile
+//! into an owned chunk and copy it into the call's output under its
+//! mutex; the caller transposes. Integer accumulation is exact, so
+//! results stay bit-identical to the serial kernels no matter which
+//! worker runs which tile in which order.
 //!
 //! Shutdown: dropping the pool sets the board's `shutdown` flag and
 //! wakes everyone; a worker exits only when the flag is set *and* no

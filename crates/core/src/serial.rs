@@ -22,9 +22,8 @@ use lq_quant::fp8::decode_lut;
 use lq_quant::mat::Mat;
 
 use crate::epilogue::{assemble_output, ScaleEpilogue, Sink};
-use crate::microkernel::{dequant_group_lqq, dot_f32, APanels, MicrokernelSet};
+use crate::microkernel::{dot_f32, APanels, MicrokernelSet};
 use crate::packed::{Fp16Linear, Fp8Linear, W4A16Linear, W8A8Linear};
-use crate::simd;
 
 /// Largest group size the stack-allocated dequant buffer supports
 /// (defined next to the backend traits; re-exported for kernel users).
@@ -46,10 +45,12 @@ pub(crate) fn check_shapes(x: &Mat<i8>, act_scales: Option<&[f32]>, w: &dyn Pack
 /// `[j0, j0 + rows)` of `w` are walked a `strip_width()`-row strip at a
 /// time; each K block ([`MicrokernelSet::kc_block`] — one group for the
 /// scalar family, an L1-sized run of groups for the SIMD ones) is
-/// dequantized for the whole strip through
-/// [`PackedWeights::dequant_row_group`] into a staging buffer that the
+/// dequantized for the whole strip by **one**
+/// [`PackedWeights::dequant_block`] call into a staging buffer that the
 /// register-tile microkernel consumes at once, and every finished
 /// `(row - j0, token)` dot product goes to `emit` as an exact integer.
+/// The packed rows stream sequentially, so the hardware prefetcher
+/// needs no hint.
 pub(crate) fn strip_kernel(
     mk: MicrokernelSet,
     a: &APanels,
@@ -74,26 +75,7 @@ pub(crate) fn strip_kernel(
                 // stride: their chains are never read back.
                 wbuf.fill(0);
             }
-            // Hint the packed words the dequant walk reaches next — the
-            // next K block of this strip, or the next strip's first —
-            // while this block dequantizes and reduces. Addressed by
-            // (row, group) like the dequant itself, so a weight view's
-            // offsets apply to the hint too.
-            let (hint_jb, hint_g) = if k0 + kc < k {
-                (jb, (k0 + kc) / group)
-            } else {
-                (jb + strip, 0)
-            };
-            for j in hint_jb..(hint_jb + strip).min(rows) {
-                simd::prefetch_read(w.group_words(j0 + j, hint_g), 0);
-            }
-            let g0 = k0 / group;
-            for r in 0..nr {
-                let dst = &mut wbuf[r * kc..(r + 1) * kc];
-                for (gg, chunk) in dst.chunks_mut(group).enumerate() {
-                    w.dequant_row_group(j0 + jb + r, g0 + gg, chunk);
-                }
-            }
+            w.dequant_block(j0 + jb, nr, k0 / group, &mut wbuf[..nr * kc]);
             mk.accumulate(a, k0, kc, &wbuf[..strip * kc], &mut acc);
             k0 += kc;
         }
@@ -106,15 +88,10 @@ pub(crate) fn strip_kernel(
 /// ExCP's Dequant stage: materialise channels `[j0, j0 + rows)` of `w`
 /// as one row-major `rows×k` INT8 tile — the "write the tile back to
 /// SMEM" round trip the paper measures ExCP by — for [`dense_kernel`]
-/// to consume in the Mma stage.
+/// to consume in the Mma stage. One dequant call for the whole tile.
 pub(crate) fn materialize_tile(w: &dyn PackedWeights, j0: usize, rows: usize) -> Vec<i8> {
-    let (k, group) = (w.k(), w.group());
-    let mut tile = vec![0i8; rows * k];
-    for (j, row) in tile.chunks_mut(k).enumerate() {
-        for (g, chunk) in row.chunks_mut(group).enumerate() {
-            w.dequant_row_group(j0 + j, g, chunk);
-        }
-    }
+    let mut tile = vec![0i8; rows * w.k()];
+    w.dequant_block(j0, rows, 0, &mut tile);
     tile
 }
 
@@ -222,17 +199,16 @@ pub fn w4a16_serial(x: &Mat<f32>, w: &W4A16Linear) -> Mat<f32> {
     assert!(p.group <= MAX_GROUP, "group size exceeds MAX_GROUP");
     let m = x.rows();
     let mut out = Mat::zeros(m, p.n);
-    let mut ibuf = [0i8; MAX_GROUP];
+    let mut ibuf = vec![0i8; p.k];
     let mut fbuf = [0.0f32; MAX_GROUP];
     let mut acc = vec![0.0f32; m];
     for j in 0..p.n {
         acc.fill(0.0);
         let ch = p.channel_scales[j];
-        for g in 0..p.groups_per_row() {
-            let params = p.group_params(j, g);
-            dequant_group_lqq(p.group_words(j, g), params, &mut ibuf[..p.group]);
-            for (f, &i8v) in fbuf[..p.group].iter_mut().zip(ibuf[..p.group].iter()) {
-                *f = f32::from(i8v) * ch;
+        p.dequant_block(j, 1, 0, &mut ibuf);
+        for (g, qs) in ibuf.chunks_exact(p.group).enumerate() {
+            for (f, &q) in fbuf.iter_mut().zip(qs) {
+                *f = f32::from(q) * ch;
             }
             let k0 = g * p.group;
             for (i, a) in acc.iter_mut().enumerate() {
@@ -438,15 +414,7 @@ mod tests {
         let cb = crate::packed::PackedCodebookLinear::quantize(&wf, 64);
         let got = w4a8_serial(&xq, &xs, &cb);
         let mut w_i8 = Mat::zeros(n, k);
-        let mut row = vec![0i8; 64];
-        for j in 0..n {
-            for g in 0..k / 64 {
-                cb.dequant_row_group(j, g, &mut row);
-                for (c, &v) in row.iter().enumerate() {
-                    w_i8.set(j, g * 64 + c, v);
-                }
-            }
-        }
+        cb.dequant_block(0, n, 0, w_i8.as_mut_slice());
         let acc = gemm_i8_ref(&xq, &w_i8);
         let want = epilogue_ref(&acc, &xs, cb.channel_scales());
         assert_eq!(max_abs_diff(&got, &want), 0.0);

@@ -94,12 +94,8 @@ impl PackedWeights for ShardView {
         &self.inner.channel_scales()[self.n0..self.n1]
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        self.inner.group_words(self.n0 + row, g)
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        self.inner.dequant_row_group(self.n0 + row, g, out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        self.inner.dequant_block(self.n0 + j, rows, g0, dst);
     }
 
     fn weight_bytes(&self) -> usize {
@@ -139,12 +135,8 @@ impl PackedWeights for KShardView {
         self.inner.channel_scales()
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        self.inner.group_words(row, self.g0 + g)
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        self.inner.dequant_row_group(row, self.g0 + g, out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        self.inner.dequant_block(j, rows, self.g0 + g0, dst);
     }
 
     fn weight_bytes(&self) -> usize {
@@ -721,6 +713,52 @@ mod tests {
         let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.04).cos());
         let qa = QuantizedActivations::quantize(&xf, None);
         (qa.q, qa.scales, wf)
+    }
+
+    /// A block dequant through either view is the inner pack's block at
+    /// the view's offset: `ShardView` shifts rows by `n0`, `KShardView`
+    /// shifts groups by `g0` — for every backend, every row window and
+    /// every block of whole groups inside the view.
+    #[test]
+    fn views_forward_block_dequant_at_their_offsets() {
+        let (n, k, group) = (21, 320, 32);
+        let (_, _, wf) = fixture(1, n, k);
+        let (n0, n1, g0, groups) = (5, 19, 3, 6);
+        for backend in lq_quant::backend::registry() {
+            let inner = backend.pack(&wf, group);
+            let id = backend.id();
+            let col = ShardView {
+                inner: Arc::clone(&inner),
+                n0,
+                n1,
+            };
+            let kslice = KShardView {
+                inner: Arc::clone(&inner),
+                g0,
+                groups,
+            };
+            let block = |w: &dyn PackedWeights, j: usize, rows: usize, g: usize, ng: usize| {
+                let mut dst = vec![0i8; rows * ng * group];
+                w.dequant_block(j, rows, g, &mut dst);
+                dst
+            };
+            for rows in 1..=n1 - n0 {
+                for ng in 1..=groups {
+                    for (j, g) in [(0, 0), (n1 - n0 - rows, groups - ng)] {
+                        assert_eq!(
+                            block(&col, j, rows, g, ng),
+                            block(inner.as_ref(), n0 + j, rows, g, ng),
+                            "{id} column view"
+                        );
+                        assert_eq!(
+                            block(&kslice, j, rows, g, ng),
+                            block(inner.as_ref(), j, rows, g0 + g, ng),
+                            "{id} K-slice view"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

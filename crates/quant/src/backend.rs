@@ -10,7 +10,7 @@
 //! both in this crate:
 //!
 //! 1. a packed-weight container implementing [`PackedWeights`]
-//!    (per-row-group word access + per-row-group dequant), and
+//!    (shape, scales and block dequant), and
 //! 2. a unit-struct [`KernelBackend`] registered in [`registry`]
 //!    (offline pack entry point + [`BackendCost`] descriptor for the
 //!    `lq-sim` cost model).
@@ -21,10 +21,10 @@
 //! is fixed. Packed weights are shared, never copied: the serial
 //! kernel borrows them and a pool tile job holds the same
 //! `Arc<dyn PackedWeights>` plus a row range, so
-//! [`PackedWeights::dequant_row_group`] is the one place a backend's
-//! words become INT8. Word-stream geometry stays backend-private
-//! (e.g. the codebook's four-index words) — kernels address weights
-//! only by `(row, group)`.
+//! [`PackedWeights::dequant_block`] is the one place a backend's words
+//! become INT8. Word-stream geometry stays backend-private (e.g. the
+//! codebook's four-index words) — kernels address weights only by
+//! `(rows, groups)`.
 //!
 //! Object safety: both traits avoid generics and `Self`-returning
 //! methods.
@@ -33,10 +33,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::codebook::CodebookGemmBackend;
-use crate::dequant::{dequant_group_lqq, dequant_group_qoq};
+use crate::dequant::{dequant8_lqq_raw, dequant8_qoq_raw, dequant_block_nibbles};
+use crate::lqq::LqqGroup;
 use crate::lut::LutDequantBackend;
 use crate::mat::Mat;
 use crate::packed::{PackedLqqLinear, PackedQoqLinear};
+use crate::qoq::QoqGroup;
 
 /// Largest supported quantization group (elements along K). Kernels
 /// size stack buffers with this, so packers must reject bigger groups.
@@ -113,9 +115,8 @@ pub struct BackendCost {
 }
 
 /// The shared contract of packed W4A8 weights: shape and scale
-/// metadata, and `(row, group)`-addressed access to the packed words —
-/// raw (for prefetch hints) and dequantized. `Send + Sync` so one
-/// `Arc` serves the serial kernel and every pool tile job alike.
+/// metadata, and block dequantization. `Send + Sync` so one `Arc`
+/// serves the serial kernel and every pool tile job alike.
 pub trait PackedWeights: Send + Sync {
     /// Which backend packed these weights.
     fn backend(&self) -> BackendId;
@@ -132,17 +133,14 @@ pub trait PackedWeights: Send + Sync {
     /// Level-1 per-channel scales (length `n`).
     fn channel_scales(&self) -> &[f32];
 
-    /// Packed words of group `g` of `row` — exactly the words
-    /// [`PackedWeights::dequant_row_group`] reads for the same
-    /// `(row, g)`. The word count is backend-defined; kernels only use
-    /// the slice as the address to software-prefetch.
-    fn group_words(&self, row: usize, g: usize) -> &[u32];
-
-    /// Dequantize group `g` of `row` into `out` (length = group size)
-    /// — the single dequant entry point: the serial kernel, the pool's
-    /// fused Compute jobs and ExCP's materialise step all stream
-    /// through it.
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]);
+    /// Dequantize groups `[g0, g0 + kc/group)` of rows `[j, j + rows)`
+    /// into `dst`, row-major with stride `kc = dst.len() / rows` (a
+    /// whole number of groups) — the single dequant entry point. The
+    /// strip kernel makes one call per strip K block and ExCP's
+    /// materialise step one per tile, so the `dyn` dispatch is paid per
+    /// block, not per group; a single group is
+    /// `dequant_block(row, 1, g, out)`.
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]);
 
     /// Weight bytes (payload + metadata) — the serving simulator's
     /// memory model.
@@ -269,12 +267,12 @@ impl PackedWeights for PackedLqqLinear {
         &self.channel_scales
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        PackedLqqLinear::group_words(self, row, g)
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        dequant_group_lqq(self.group_words(row, g), self.group_params(row, g), out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        let w = (&self.words, self.groups.as_slice(), self.group);
+        let prep = |p: LqqGroup| (u32::from(p.s_u8), u32::from(p.offset_a()) * 0x0101_0101);
+        dequant_block_nibbles(w, (j, rows, g0), dst, prep, |x, (s, a)| {
+            dequant8_lqq_raw(x, s, a)
+        });
     }
 
     fn weight_bytes(&self) -> usize {
@@ -303,12 +301,12 @@ impl PackedWeights for PackedQoqLinear {
         &self.channel_scales
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        PackedQoqLinear::group_words(self, row, g)
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        dequant_group_qoq(self.group_words(row, g), self.group_params(row, g), out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        let w = (&self.words, self.groups.as_slice(), self.group);
+        let prep = |p: QoqGroup| (u32::from(p.s_u8), u32::from(p.zs()) * 0x0101_0101);
+        dequant_block_nibbles(w, (j, rows, g0), dst, prep, |x, (s, z)| {
+            dequant8_qoq_raw(x, s, z)
+        });
     }
 
     fn weight_bytes(&self) -> usize {

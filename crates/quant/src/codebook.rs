@@ -23,6 +23,7 @@
 use std::sync::Arc;
 
 use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights};
+use crate::dequant::block_shape;
 use crate::level1::{quantize_per_channel_i8, PROTECTIVE_MAX};
 use crate::mat::Mat;
 
@@ -113,15 +114,15 @@ fn train_codebook(subvectors: &[i8]) -> Vec<i8> {
 
 /// Expand packed index words through the codebook: byte `b` of a word
 /// (little-endian) indexes the entry reconstructing elements
-/// `b·CB_DIM .. (b+1)·CB_DIM` of that word's 16-element span.
+/// `b·CB_DIM .. (b+1)·CB_DIM` of that word's 16-element span. The
+/// fixed-size codebook makes every entry read provably in bounds.
 #[inline]
-fn dequant_words_codebook(words: &[u32], codebook: &[i8], out: &mut [i8]) {
+fn dequant_words_codebook(words: &[u32], codebook: &[i8; CB_SIZE * CB_DIM], out: &mut [i8]) {
     debug_assert_eq!(words.len() * CB_ELEMS_PER_WORD, out.len());
     for (w, chunk) in words.iter().zip(out.chunks_exact_mut(CB_ELEMS_PER_WORD)) {
-        for b in 0..4 {
+        for (b, sub) in chunk.chunks_exact_mut(CB_DIM).enumerate() {
             let idx = ((w >> (8 * b)) & 0xFF) as usize;
-            chunk[b * CB_DIM..(b + 1) * CB_DIM]
-                .copy_from_slice(&codebook[idx * CB_DIM..(idx + 1) * CB_DIM]);
+            sub.copy_from_slice(&codebook[idx * CB_DIM..(idx + 1) * CB_DIM]);
         }
     }
 }
@@ -154,8 +155,11 @@ impl PackedCodebookLinear {
 
     /// The shared codebook (flattened `CB_SIZE × CB_DIM`).
     #[must_use]
-    pub fn codebook(&self) -> &[i8] {
-        &self.codebook
+    pub fn codebook(&self) -> &[i8; CB_SIZE * CB_DIM] {
+        self.codebook
+            .as_slice()
+            .try_into()
+            .expect("the codebook has CB_SIZE entries")
     }
 
     /// Quantize FP weights: level-1 per-channel INT8, then vector
@@ -209,7 +213,7 @@ impl PackedCodebookLinear {
             let wpr = self.words_per_row();
             dequant_words_codebook(
                 &self.words[r * wpr..(r + 1) * wpr],
-                &self.codebook,
+                self.codebook(),
                 &mut row_buf,
             );
             let s = self.channel_scales[r];
@@ -242,14 +246,18 @@ impl PackedWeights for PackedCodebookLinear {
         &self.channel_scales
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        let wpg = self.group / CB_ELEMS_PER_WORD;
-        let off = row * self.words_per_row() + g * wpg;
-        &self.words[off..off + wpg]
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        dequant_words_codebook(self.group_words(row, g), &self.codebook, out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        let (kc, _) = block_shape(dst.len(), rows, self.group);
+        let (wpr, w0, wpb) = (
+            self.words_per_row(),
+            g0 * self.group / CB_ELEMS_PER_WORD,
+            kc / CB_ELEMS_PER_WORD,
+        );
+        let codebook = self.codebook();
+        for (row, drow) in (j..).zip(dst.chunks_exact_mut(kc)) {
+            let at = row * wpr + w0;
+            dequant_words_codebook(&self.words[at..at + wpb], codebook, drow);
+        }
     }
 
     fn weight_bytes(&self) -> usize {

@@ -1,21 +1,24 @@
-//! Hot-loop SWAR group dequantization — the *uncounted* twins of the
+//! Hot-loop block dequantization — the *uncounted* twins of the
 //! audited paths in [`crate::lqq`] / [`crate::qoq`]: same arithmetic,
 //! zero bookkeeping, `#[inline(always)]`.
 //!
-//! These used to live next to the microkernel in `lq-core`; they moved
-//! here when the kernel-backend layer ([`crate::backend`]) made the
-//! dequantization algorithm a property of the *weights* rather than of
-//! the kernel, so every consumer (serial kernels, pipeline tile jobs,
-//! the packed-weight containers themselves) reaches them through the
-//! same crate that owns the group parameters.
+//! A backend's [`crate::backend::PackedWeights::dequant_block`] turns a
+//! strip's rows × a run of whole groups into INT8 in one call, and the
+//! three nibble backends (LQQ, QoQ, LUT) share one loop for it,
+//! [`dequant_block_nibbles`]: each row's words and parameters are
+//! sliced once, each group's parameter is prepared (broadcast) once,
+//! and each word's `(lo, hi)` pair is one 8-byte store. That inner loop
+//! is the shape LLVM vectorises without intrinsics (`vpmulld` and a
+//! `vpermt2d` interleave under AVX-512), so this crate stays
+//! `forbid(unsafe_code)`; fixed `lo[8]`/`hi[8]` arrays with a 64-byte
+//! store compile to scatters instead.
 //!
-//! All functions consume interleave-packed words
-//! ([`lq_layout::pack::pack_interleaved8`]): the `lo` half of a word
-//! carries logical elements `0..4` and the `hi` half elements `4..8`,
-//! so outputs land in consumption order with no online shuffle.
+//! Words are interleave-packed ([`lq_layout::pack::pack_interleaved8`]):
+//! the `lo` half of a word carries logical elements `0..4` and the `hi`
+//! half elements `4..8`, so outputs land in consumption order with no
+//! online shuffle.
 
-use crate::lqq::LqqGroup;
-use crate::qoq::QoqGroup;
+use lq_layout::dual_mma::DualMmaWeights;
 
 /// Lane mask selecting the low nibble of every byte.
 const NIB: u32 = 0x0F0F_0F0F;
@@ -56,55 +59,57 @@ pub fn dequant8_qoq_raw(word: u32, s: u32, zs_packed: u32) -> (u32, u32) {
     (lo, hi)
 }
 
-/// Dequantize a full LQQ group of packed words into an INT8 buffer.
-///
-/// `words` holds `group_len/8` interleave-packed words; `out` receives
-/// `group_len` INT8 values in logical order.
+/// The block geometry every `dequant_block` shares: `dst` is `rows`
+/// rows of `kc = dst_len / rows` elements, a whole number of groups.
+/// Returns `(kc, groups)`.
 #[inline]
-pub fn dequant_group_lqq(words: &[u32], params: LqqGroup, out: &mut [i8]) {
-    debug_assert_eq!(words.len() * 8, out.len());
-    let s = u32::from(params.s_u8);
-    let a = u32::from(params.offset_a()) * 0x0101_0101;
-    for (w, chunk) in words.iter().zip(out.chunks_exact_mut(8)) {
-        let (lo, hi) = dequant8_lqq_raw(*w, s, a);
-        let lo = lo.to_le_bytes();
-        let hi = hi.to_le_bytes();
-        chunk[0] = lo[0] as i8;
-        chunk[1] = lo[1] as i8;
-        chunk[2] = lo[2] as i8;
-        chunk[3] = lo[3] as i8;
-        chunk[4] = hi[0] as i8;
-        chunk[5] = hi[1] as i8;
-        chunk[6] = hi[2] as i8;
-        chunk[7] = hi[3] as i8;
-    }
+#[must_use]
+pub(crate) fn block_shape(dst_len: usize, rows: usize, group: usize) -> (usize, usize) {
+    assert!(rows > 0 && dst_len.is_multiple_of(rows), "dst is rows × kc");
+    let kc = dst_len / rows;
+    assert!(kc.is_multiple_of(group), "kc is whole groups");
+    (kc, kc / group)
 }
 
-/// Dequantize a full QoQ group of packed words into an INT8 buffer
-/// (baseline path with the emulated byte-subtract).
-#[inline]
-pub fn dequant_group_qoq(words: &[u32], params: QoqGroup, out: &mut [i8]) {
-    debug_assert_eq!(words.len() * 8, out.len());
-    let s = u32::from(params.s_u8);
-    let zs = u32::from(params.zs()) * 0x0101_0101;
-    for (w, chunk) in words.iter().zip(out.chunks_exact_mut(8)) {
-        let (lo, hi) = dequant8_qoq_raw(*w, s, zs);
-        let lo = lo.to_le_bytes();
-        let hi = hi.to_le_bytes();
-        chunk[0] = lo[0] as i8;
-        chunk[1] = lo[1] as i8;
-        chunk[2] = lo[2] as i8;
-        chunk[3] = lo[3] as i8;
-        chunk[4] = hi[0] as i8;
-        chunk[5] = hi[1] as i8;
-        chunk[6] = hi[2] as i8;
-        chunk[7] = hi[3] as i8;
+/// Dequantize groups `[g0, g0 + kc/group)` of rows `[j, j + rows)` of
+/// `words` into `dst`, row-major with stride `kc = dst.len() / rows`.
+/// `params` is the `n × k/group` per-group table; `prep` turns a
+/// group's entry into what `word8` needs, once per group, and `word8`
+/// turns one word into its `(lo, hi)` registers.
+#[inline(always)]
+pub(crate) fn dequant_block_nibbles<P: Copy, Q: Copy>(
+    (words, params, group): (&DualMmaWeights, &[P], usize),
+    (j, rows, g0): (usize, usize, usize),
+    dst: &mut [i8],
+    prep: impl Fn(P) -> Q,
+    word8: impl Fn(u32, Q) -> (u32, u32),
+) {
+    let (kc, groups) = block_shape(dst.len(), rows, group);
+    let gpr = words.k() / group;
+    for (row, drow) in (j..).zip(dst.chunks_exact_mut(kc)) {
+        let wrow = words.row_kslice(row, g0 * group, g0 * group + kc);
+        let prow = &params[row * gpr + g0..row * gpr + g0 + groups];
+        for ((gw, &p), gd) in wrow
+            .chunks_exact(group / 8)
+            .zip(prow)
+            .zip(drow.chunks_exact_mut(group))
+        {
+            let q = prep(p);
+            for (&w, d) in gw.iter().zip(gd.as_chunks_mut::<8>().0) {
+                let (lo, hi) = word8(w, q);
+                *d = (u64::from(lo) | (u64::from(hi) << 32))
+                    .to_le_bytes()
+                    .map(|b| b as i8);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lqq::LqqGroup;
+    use crate::qoq::QoqGroup;
     use lq_layout::pack::pack_interleaved8;
 
     #[test]
@@ -154,30 +159,6 @@ mod tests {
                 assert_eq!(lo.to_le_bytes()[i] as i8, p.dequant_scalar(vals[i]));
                 assert_eq!(hi.to_le_bytes()[i] as i8, p.dequant_scalar(vals[4 + i]));
             }
-        }
-    }
-
-    #[test]
-    fn group_dequant_lqq_roundtrip() {
-        let group: Vec<i8> = (0..64).map(|i| ((i * 37) % 239 - 119) as i8).collect();
-        let (p, codes) = LqqGroup::quantize(&group);
-        let words: Vec<u32> = codes.chunks_exact(8).map(pack_interleaved8).collect();
-        let mut out = vec![0i8; 64];
-        dequant_group_lqq(&words, p, &mut out);
-        for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(out[i], p.dequant_scalar(c), "elem {i}");
-        }
-    }
-
-    #[test]
-    fn group_dequant_qoq_roundtrip() {
-        let group: Vec<i8> = (0..64).map(|i| ((i * 53) % 239 - 119) as i8).collect();
-        let (p, codes) = QoqGroup::quantize(&group);
-        let words: Vec<u32> = codes.chunks_exact(8).map(pack_interleaved8).collect();
-        let mut out = vec![0i8; 64];
-        dequant_group_qoq(&words, p, &mut out);
-        for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(out[i], p.dequant_scalar(c), "elem {i}");
         }
     }
 }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use lq_layout::dual_mma::DualMmaWeights;
 
 use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights, MAX_GROUP};
+use crate::dequant::dequant_block_nibbles;
 use crate::lqq::{LqqGroup, LqqTensor};
 use crate::mat::Mat;
 use crate::weights::{Level2, QuantScheme, QuantizedLinear};
@@ -38,18 +39,18 @@ pub fn group_lut(p: LqqGroup) -> [i8; 16] {
     std::array::from_fn(|c| (((c as u16 * s + a) as u8) ^ 0x80) as i8)
 }
 
-/// Dequantize interleave-packed words through a group's table: lane
-/// `b` of the `lo` nibbles is element `b`, of the `hi` nibbles element
-/// `4+b` (same consumption order as the SWAR path).
-#[inline]
-fn dequant_group_lut(words: &[u32], table: &[i8; 16], out: &mut [i8]) {
-    debug_assert_eq!(words.len() * 8, out.len());
-    for (w, chunk) in words.iter().zip(out.chunks_exact_mut(8)) {
-        for b in 0..4 {
-            chunk[b] = table[((w >> (8 * b)) & 0xF) as usize];
-            chunk[4 + b] = table[((w >> (8 * b + 4)) & 0xF) as usize];
-        }
-    }
+/// One interleave-packed word through a group's table: byte `b` of
+/// `lo` is the entry for the word's low nibble of byte `b` (element
+/// `b`), of `hi` for its high nibble (element `4+b`) — the SWAR path's
+/// `(lo, hi)` register convention.
+#[inline(always)]
+fn lookup8(w: u32, table: [i8; 16]) -> (u32, u32) {
+    let at = |shift: u32| {
+        u32::from_le_bytes(std::array::from_fn(|b| {
+            table[((w >> (8 * b as u32 + shift)) & 0xF) as usize] as u8
+        }))
+    };
+    (at(0), at(4))
 }
 
 /// W4A8 weights for the LUT backend: LQQ codes in the dual-MMA packed
@@ -106,19 +107,6 @@ impl PackedLutLinear {
         let q = QuantizedLinear::quantize(w, group, QuantScheme::Lqq, None);
         Self::from_quantized(&q)
     }
-
-    /// Groups per row.
-    #[must_use]
-    pub fn groups_per_row(&self) -> usize {
-        self.k / self.group
-    }
-
-    /// The dequant table of `(row, group_index)`.
-    #[inline]
-    #[must_use]
-    pub fn table(&self, row: usize, g: usize) -> &[i8; 16] {
-        &self.tables[row * self.groups_per_row() + g]
-    }
 }
 
 impl PackedWeights for PackedLutLinear {
@@ -142,13 +130,9 @@ impl PackedWeights for PackedLutLinear {
         &self.channel_scales
     }
 
-    fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        self.words
-            .row_kslice(row, g * self.group, (g + 1) * self.group)
-    }
-
-    fn dequant_row_group(&self, row: usize, g: usize, out: &mut [i8]) {
-        dequant_group_lut(self.group_words(row, g), self.table(row, g), out);
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        let w = (&self.words, self.tables.as_slice(), self.group);
+        dequant_block_nibbles(w, (j, rows, g0), dst, |t| t, lookup8);
     }
 
     fn weight_bytes(&self) -> usize {
@@ -186,7 +170,6 @@ impl KernelBackend for LutDequantBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dequant::dequant_group_lqq;
 
     #[test]
     fn table_matches_scalar_on_quantizer_codes() {
@@ -214,12 +197,8 @@ mod tests {
         let mut via_swar = vec![0i8; 64];
         for row in 0..16 {
             for g in 0..4 {
-                lut.dequant_row_group(row, g, &mut via_lut);
-                dequant_group_lqq(
-                    swar.group_words(row, g),
-                    swar.group_params(row, g),
-                    &mut via_swar,
-                );
+                lut.dequant_block(row, 1, g, &mut via_lut);
+                swar.dequant_block(row, 1, g, &mut via_swar);
                 assert_eq!(via_lut, via_swar, "row {row} group {g}");
             }
         }

@@ -73,21 +73,6 @@ impl PackedLqqLinear {
         self.k / self.group
     }
 
-    /// Group parameters for `(row, group_index)`.
-    #[inline]
-    #[must_use]
-    pub fn group_params(&self, row: usize, g: usize) -> LqqGroup {
-        self.groups[row * self.groups_per_row() + g]
-    }
-
-    /// Packed words of group `g` of `row` (length `group/8`).
-    #[inline]
-    #[must_use]
-    pub fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        self.words
-            .row_kslice(row, g * self.group, (g + 1) * self.group)
-    }
-
     /// Weight bytes (4-bit payload + group params + channel scales) —
     /// the serving simulator's memory model.
     #[must_use]
@@ -152,21 +137,6 @@ impl PackedQoqLinear {
         self.k / self.group
     }
 
-    /// Group parameters for `(row, group_index)`.
-    #[inline]
-    #[must_use]
-    pub fn group_params(&self, row: usize, g: usize) -> QoqGroup {
-        self.groups[row * self.groups_per_row() + g]
-    }
-
-    /// Packed words of group `g` of `row`.
-    #[inline]
-    #[must_use]
-    pub fn group_words(&self, row: usize, g: usize) -> &[u32] {
-        self.words
-            .row_kslice(row, g * self.group, (g + 1) * self.group)
-    }
-
     /// Weight bytes.
     #[must_use]
     pub fn weight_bytes(&self) -> usize {
@@ -194,7 +164,6 @@ mod tests {
         };
         assert_eq!(p.words.unpack_all(), t.values);
         assert_eq!(p.groups_per_row(), 2);
-        assert_eq!(p.group_words(3, 1).len(), 8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ragged shapes and adversarial inputs.
 
 use lq_quant::backend::{registry, resolve, BackendId, PackedWeights};
-use lq_quant::dequant::dequant_group_lqq;
+use lq_quant::dequant::dequant8_lqq_raw;
 use lq_quant::lqq::LqqGroup;
 use lq_quant::lut::group_lut;
 use lq_quant::mat::Mat;
@@ -20,21 +20,12 @@ fn random_weights(rng: &mut Rng, n: usize, k: usize) -> Mat<f32> {
 }
 
 /// Reconstruct the FP32 matrix a packed representation encodes
-/// (per-group dequant × level-1 channel scale).
+/// (whole-matrix block dequant × level-1 channel scale).
 fn reconstruct(w: &dyn PackedWeights) -> Mat<f32> {
-    let (n, k, group) = (w.n(), w.k(), w.group());
-    let mut out = Mat::from_fn(n, k, |_, _| 0.0f32);
-    let mut buf = vec![0i8; group];
-    for r in 0..n {
-        let s = w.channel_scales()[r];
-        for g in 0..k / group {
-            w.dequant_row_group(r, g, &mut buf);
-            for (i, &q) in buf.iter().enumerate() {
-                out.set(r, g * group + i, f32::from(q) * s);
-            }
-        }
-    }
-    out
+    let (n, k) = (w.n(), w.k());
+    let mut q = vec![0i8; n * k];
+    w.dequant_block(0, n, 0, &mut q);
+    Mat::from_fn(n, k, |r, c| f32::from(q[r * k + c]) * w.channel_scales()[r])
 }
 
 /// The registry is total and self-consistent: one entry per
@@ -94,12 +85,12 @@ fn every_backend_packs_ragged_shapes() {
     }
 }
 
-/// `dequant_row_group` — the one dequant entry point, which the serial
-/// kernel and every pool job stream through — reproduces the offline
-/// quantizer's INT8 reconstruction byte-for-byte on seeded shapes, for
-/// every backend that has such an oracle (the codebook backend's
-/// reference is its own whole-row `dequantize`, checked below), and
-/// `group_words` hands out the words of exactly one group.
+/// `dequant_block`'s one-group case — the one dequant entry point,
+/// which the serial kernel and every pool job stream through —
+/// reproduces the offline quantizer's INT8 reconstruction
+/// byte-for-byte on seeded shapes, for every backend that has such an
+/// oracle (the codebook backend's reference is its own whole-row
+/// `dequantize`, checked below).
 #[test]
 fn row_dequant_matches_quantizer_oracle_for_every_backend() {
     let mut rng = Rng::new(0xC0_4F02);
@@ -116,12 +107,10 @@ fn row_dequant_matches_quantizer_oracle_for_every_backend() {
                 BackendId::Codebook => None,
             }
             .map(|scheme| QuantizedLinear::quantize(&wf, 64, scheme, None).dequant_to_i8());
-            let words_per_group = p.group_words(0, 0).len();
             let mut got = vec![0i8; 64];
             for j in 0..n {
                 for g in 0..k / 64 {
-                    assert_eq!(p.group_words(j, g).len(), words_per_group, "{id}");
-                    p.dequant_row_group(j, g, &mut got);
+                    p.dequant_block(j, 1, g, &mut got);
                     if let Some(want) = &oracle {
                         let want = &want.row(j)[g * 64..(g + 1) * 64];
                         assert_eq!(got, want, "{id} row {j} group {g}");
@@ -131,6 +120,60 @@ fn row_dequant_matches_quantizer_oracle_for_every_backend() {
         }
         let cb = PackedCodebookLinear::quantize(&wf, 64);
         assert_eq!(reconstruct(&cb).as_slice(), cb.dequantize().as_slice());
+    }
+}
+
+/// The block form against the same oracle: for every backend, rows
+/// `1..=16` (each count at its own start row), `g0` at the first,
+/// second and last group, and every block length from one group to all
+/// that remain — at groups of 8 and 32 elements (shorter than the
+/// eight-word step), 64 and 128 (one and two steps). The codebook's
+/// oracle is its own one-group dequant, itself pinned to `dequantize`
+/// above; it packs only groups that are multiples of 16.
+#[test]
+fn block_dequant_matches_quantizer_oracle_for_every_backend() {
+    let mut rng = Rng::new(0xC0_4F06);
+    for group in [8usize, 32, 64, 128] {
+        let (n, groups) = (19, 5);
+        let k = group * groups;
+        let wf = random_weights(&mut rng, n, k);
+        for backend in registry() {
+            let id = backend.id();
+            if id == BackendId::Codebook && group % 16 != 0 {
+                continue;
+            }
+            let p = backend.pack(&wf, group);
+            let oracle = match id {
+                BackendId::Lqq | BackendId::Lut => {
+                    QuantizedLinear::quantize(&wf, group, QuantScheme::Lqq, None).dequant_to_i8()
+                }
+                BackendId::Qoq => {
+                    QuantizedLinear::quantize(&wf, group, QuantScheme::Qoq, None).dequant_to_i8()
+                }
+                BackendId::Codebook => Mat::from_fn(n, k, |r, c| {
+                    let mut one = vec![0i8; group];
+                    p.dequant_block(r, 1, c / group, &mut one);
+                    one[c % group]
+                }),
+            };
+            for rows in 1..=16 {
+                let j = (rows * 7) % (n - rows + 1);
+                for g0 in [0, 1, groups - 1] {
+                    for ng in 1..=groups - g0 {
+                        let kc = ng * group;
+                        let mut got = vec![0i8; rows * kc];
+                        p.dequant_block(j, rows, g0, &mut got);
+                        for (r, row) in got.chunks_exact(kc).enumerate() {
+                            let want = &oracle.row(j + r)[g0 * group..g0 * group + kc];
+                            assert_eq!(
+                                row, want,
+                                "{id} group {group} rows {j}+{r} g0 {g0} ng {ng}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -155,8 +198,8 @@ fn lut_is_bit_exact_vs_swar_on_ragged_shapes() {
         let mut via_lqq = vec![0i8; group];
         for r in 0..n {
             for g in 0..k / group {
-                PackedWeights::dequant_row_group(&lut, r, g, &mut via_lut);
-                PackedWeights::dequant_row_group(&lqq, r, g, &mut via_lqq);
+                PackedWeights::dequant_block(&lut, r, 1, g, &mut via_lut);
+                PackedWeights::dequant_block(&lqq, r, 1, g, &mut via_lqq);
                 assert_eq!(via_lut, via_lqq, "group {group} row {r} g {g}");
             }
         }
@@ -183,8 +226,8 @@ fn lut_matches_swar_on_group_boundary_patterns() {
         let mut b = vec![0i8; group];
         for r in 0..n {
             for g in 0..k / group {
-                PackedWeights::dequant_row_group(&lut, r, g, &mut a);
-                PackedWeights::dequant_row_group(&lqq, r, g, &mut b);
+                PackedWeights::dequant_block(&lut, r, 1, g, &mut a);
+                PackedWeights::dequant_block(&lqq, r, 1, g, &mut b);
                 assert_eq!(a, b, "pattern {i} row {r} group {g}");
             }
         }
@@ -226,8 +269,16 @@ fn lut_matches_swar_on_every_reachable_code() {
         // order: byte b of a word holds element b (low nibble) and
         // element 4+b (high nibble).
         let words = [0x7362_5140u32, 0xFBEA_D9C8u32];
-        let mut out = [0i8; 16];
-        dequant_group_lqq(&words, p, &mut out);
+        let (s32, a32) = (u32::from(p.s_u8), u32::from(p.offset_a()) * 0x0101_0101);
+        let out: Vec<i8> = words
+            .iter()
+            .flat_map(|&w| {
+                let (lo, hi) = dequant8_lqq_raw(w, s32, a32);
+                [lo, hi].map(u32::to_le_bytes)
+            })
+            .flatten()
+            .map(|b| b as i8)
+            .collect();
         for (c, &got) in out.iter().enumerate() {
             if c as u16 * s + a <= 255 {
                 assert_eq!(got, table[c], "case {case} code {c} (s={s}, a={a})");
