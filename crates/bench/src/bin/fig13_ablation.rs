@@ -1,18 +1,14 @@
 //! Figure 13: ablation — baseline → +LQQ → +ExCP / +ImFP — on the
-//! warp-group pipeline simulator (GPU-shaped) and cross-checked by the
-//! measured CPU kernels (see `cpu_kernel_bench` for wall-clock).
+//! warp-group pipeline simulator (GPU-shaped). The CPU kernels' ExCP
+//! and ImFP rows run for real in `examples/ablation`.
 //!
-//! Run: `cargo run -p lq-bench --bin fig13_ablation [-- --json]`
-//!
-//! `--json` enables telemetry (per-resource sim busy-time gauges) and
-//! writes `BENCH_fig13_ablation.json` on exit.
+//! Run: `cargo run -p lq-bench --bin fig13_ablation`
 
 use lq_bench::{fmt_time, print_header, print_row, BATCH_SWEEP};
 use lq_sim::pipeline_sim::ablation;
 use lq_sim::specs::H800;
 
 fn main() {
-    let _json = lq_bench::json_dump("fig13_ablation");
     println!("== Figure 13: pipeline ablation on the H800 model (FFN-tile stream) ==\n");
     print_header(&[
         ("batch", 6),

@@ -5,10 +5,7 @@
 //! (Not a paper table; it demonstrates the serving loop the Table-1
 //! closed form abstracts, with the same paged-KV admission policy.)
 //!
-//! Run: `cargo run -p lq-bench --bin tab_scheduler [-- --json]`
-//!
-//! `--json` enables telemetry (decode-step histograms, KV gauges,
-//! admission counters) and writes `BENCH_tab_scheduler.json` on exit.
+//! Run: `cargo run -p lq-bench --bin tab_scheduler`
 
 use lq_bench::{fmt_time, print_header, print_row};
 use lq_models::configs::LLAMA2_7B;
@@ -35,7 +32,6 @@ fn arrivals(n: usize, rate: f64) -> Vec<Request> {
 }
 
 fn main() {
-    let _json = lq_bench::json_dump("tab_scheduler");
     println!("== Continuous batching under load: LLaMA2-7B, 200 requests ==\n");
     print_header(&[
         ("system", 14),

@@ -1,4 +1,4 @@
-//! # lq-bench — benchmark harnesses for every table and figure
+//! # lq-bench — one binary per table and figure, plus the benchmark
 //!
 //! One binary per experiment (see `src/bin/`), each printing the rows or
 //! series of the corresponding table/figure in the paper:
@@ -10,31 +10,22 @@
 //! | `tab_dequant_cost` | §3.2/§5.3 dequant instruction audit |
 //! | `fig04_gemm_share` | Figure 4: GEMM share of inference time |
 //! | `fig05_gemm_latency` | Figure 5: per-layer GEMM latency vs batch |
+//! | `fig07_layout` | Figure 7 / §5.2: `ldmatrix` mis-scatter, `LDS.128` vs `LDS.32`, bank conflicts |
 //! | `tab01_peak_throughput` | Table 1: peak serving throughput |
 //! | `fig10_time_breakdown` | Figure 10: per-layer time breakdown |
 //! | `fig11_fixed_batch` | Figure 11: throughput at fixed batch |
 //! | `fig12_kernel_latency` | Figure 12: kernel latency vs batch |
 //! | `fig13_ablation` | Figure 13: LQQ / ExCP / ImFP ablation |
 //! | `tab_accuracy` | §7.1 accuracy note: LQQ vs QoQ error |
-//! | `cpu_kernel_bench` | CPU-measured kernel cross-check |
+//! | `tab_hw_trends` | §3.3 hardware-trend projection |
 //! | `tab_scheduler` | continuous-batching scheduler under load (simulated) |
-//! | `serving_runtime` | executable batched vs sequential continuous decode (§6 analogue) |
 //!
-//! Plain-main microbenchmarks live in `benches/` (run with
-//! `cargo bench`; the offline sandbox has no criterion, so they use
-//! [`measure_median`]).
-//!
-//! Binaries accept `--json`: it enables [`lq_telemetry`] for the run
-//! and dumps the global registry as `BENCH_<name>.json` on exit (see
-//! [`json_dump`]). The pool and serving harnesses additionally accept
-//! `--trace <path>`: it enables [`lq_trace`] and writes a
-//! Perfetto-loadable Chrome trace-event JSON on exit (see
-//! [`trace_dump`]).
+//! Wall-clock measurement of the executable stack is the `ledger`
+//! binary's job (`src/bin/ledger/`, declared by the root
+//! `BENCHMARK.json`); this library only formats the figure tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::time::Instant;
 
 /// Format seconds with an adaptive unit.
 #[must_use]
@@ -69,156 +60,8 @@ pub fn print_row(cells: &[(String, usize)]) {
     println!("{line}");
 }
 
-/// Wall-clock the median of `reps` runs of `f` (seconds), after one
-/// warm-up run.
-pub fn measure_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    assert!(reps >= 1);
-    f(); // warm-up
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
-
 /// The batch sweep the paper's latency figures use.
 pub const BATCH_SWEEP: [usize; 7] = [4, 8, 16, 32, 64, 128, 256];
-
-/// Run `f` as one named microbenchmark: median of `reps` timed runs,
-/// printed as a row. Returns the median seconds.
-pub fn bench_case(name: &str, reps: usize, f: impl FnMut()) -> f64 {
-    let t = measure_median(reps, f);
-    println!("{name:<32} {:>12}", fmt_time(t));
-    t
-}
-
-/// The workspace root (two levels above this crate's manifest) —
-/// `BENCH_*.json` snapshots are committed there, and anchoring the
-/// path makes dumps land in the same place whether the binary runs
-/// under `cargo bench` (CWD = package root) or `cargo run`
-/// (CWD = invocation dir).
-#[must_use]
-pub fn workspace_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Handle the shared `--json` flag: when present in `argv`, telemetry
-/// is enabled for the whole run and the returned guard writes the
-/// global registry's JSON snapshot to `BENCH_<name>.json` in the
-/// [`workspace_root`] when dropped (i.e. at the end of `main`).
-/// Without the flag this is inert and telemetry stays off, so timings
-/// are unperturbed.
-#[must_use]
-pub fn json_dump(name: &'static str) -> JsonDumpGuard {
-    let active = std::env::args().any(|a| a == "--json");
-    if active {
-        lq_telemetry::enable();
-    }
-    JsonDumpGuard { name, active }
-}
-
-/// Guard from [`json_dump`]; writes the snapshot on drop.
-pub struct JsonDumpGuard {
-    name: &'static str,
-    active: bool,
-}
-
-impl Drop for JsonDumpGuard {
-    fn drop(&mut self) {
-        if self.active {
-            let path = workspace_root().join(format!("BENCH_{}.json", self.name));
-            match std::fs::write(&path, lq_telemetry::registry().to_json()) {
-                Ok(()) => eprintln!("telemetry snapshot written to {}", path.display()),
-                Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-            }
-        }
-    }
-}
-
-/// Handle the shared `--trace <path>` flag: when present in `argv`,
-/// causal event tracing ([`lq_trace`]) is enabled for the whole run and
-/// the returned guard drains the global tracer when dropped, exports a
-/// Chrome trace-event JSON document, self-validates it, and writes it
-/// to `<path>` (open at <https://ui.perfetto.dev>). Without the flag
-/// this is inert: every record site stays on its one-relaxed-load noop
-/// branch, so timings are unperturbed.
-#[must_use]
-pub fn trace_dump() -> TraceDumpGuard {
-    let mut args = std::env::args();
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            path = args.next();
-        }
-    }
-    if path.is_some() {
-        lq_trace::enable();
-    }
-    TraceDumpGuard { path }
-}
-
-/// Guard from [`trace_dump`]; exports and writes on drop, or earlier
-/// (with the events handed back) via [`TraceDumpGuard::flush`].
-pub struct TraceDumpGuard {
-    path: Option<String>,
-}
-
-impl TraceDumpGuard {
-    /// Was `--trace <path>` given?
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Drain the tracer now, validate + write the Chrome JSON export,
-    /// and return the drained events so callers can gate on them (the
-    /// `--smoke` per-worker coverage check). Idempotent — the drop path
-    /// becomes a no-op afterwards.
-    ///
-    /// # Panics
-    /// If the export fails its own JSON validation or the file cannot
-    /// be written: a trace the viewer cannot load must fail loudly.
-    pub fn flush(&mut self) -> Vec<lq_trace::Event> {
-        let Some(path) = self.path.take() else {
-            return Vec::new();
-        };
-        // Relative paths anchor to the workspace root (same rule as
-        // `json_dump`), so `--trace foo.json` lands in one predictable
-        // place no matter the invocation CWD; absolute paths pass
-        // through `join` untouched.
-        let path = workspace_root().join(&path);
-        let events = lq_trace::take_events();
-        let json = lq_trace::chrome::export(&events);
-        lq_trace::json::validate(&json)
-            .unwrap_or_else(|e| panic!("chrome trace export is invalid JSON: {e}"));
-        std::fs::write(&path, &json)
-            .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
-        let dropped = lq_trace::dropped_total();
-        eprintln!(
-            "chrome trace ({} events{}) written to {} — open at https://ui.perfetto.dev",
-            events.len(),
-            if dropped == 0 {
-                String::new()
-            } else {
-                format!(", {dropped} dropped at the rings")
-            },
-            path.display(),
-        );
-        events
-    }
-}
-
-impl Drop for TraceDumpGuard {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = self.flush();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -230,13 +73,5 @@ mod tests {
         assert_eq!(fmt_time(2.5e-3), "2.50 ms");
         assert_eq!(fmt_time(2.5e-6), "2.50 us");
         assert_eq!(fmt_time(250e-9), "250 ns");
-    }
-
-    #[test]
-    fn measure_median_returns_positive() {
-        let t = measure_median(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t > 0.0);
     }
 }

@@ -16,13 +16,11 @@
 //! * **Scalar** — [`mk_i8_4x4`] / [`mk_i8_1x4`], plain indexed loops in
 //!   the one shape LLVM's loop vectoriser turns into widening-multiply
 //!   SIMD reductions without intrinsics. These stay as the portable
-//!   fallback *and* the bit-exactness oracle for the SIMD variants. We
-//!   measured the alternative K-major interleaved packing
-//!   (`lq_layout::pack::pack_a_panels_kmajor`) with fixed 16-wide
-//!   chunked unrolling: the strided lane access defeats the
-//!   vectoriser's reduction pattern and the per-chunk horizontal sums
-//!   dominate, so it benches 2–5× slower than the contiguous form —
-//!   the layout stays in `lq-layout` as the measured counterexample.
+//!   fallback *and* the bit-exactness oracle for the SIMD variants. A
+//!   K-major interleaved A-panel packing with fixed 16-wide chunked
+//!   unrolling measured 2–5× slower than this contiguous form: the
+//!   strided lane access defeats the vectoriser's reduction pattern and
+//!   the per-chunk horizontal sums dominate.
 //! * **Explicit SIMD** — [`crate::simd`]'s AVX2 and AVX-512-VNNI
 //!   kernels, runtime feature-detected once ([`MicrokernelSet::global`])
 //!   and selected per-job with wider, M-adaptive register shapes
@@ -597,7 +595,7 @@ impl MicrokernelSet {
 const SHAPE_LABELS: [&str; 5] = ["1x4", "4x4", "1x16", "4x16", "6x16"];
 
 /// Process-lifetime dispatch counters, always on (relaxed atomics) so
-/// benches and smoke gates can audit which kernels actually ran even
+/// tests and the ledger can audit which kernels actually ran even
 /// with telemetry disabled. Indexed `[variant][shape]`.
 static DISPATCH: [[AtomicU64; 5]; 3] = [const { [const { AtomicU64::new(0) }; 5] }; 3];
 
@@ -610,8 +608,8 @@ fn variant_index(v: SimdVariant) -> usize {
 }
 
 /// Snapshot of the non-zero `(variant, shape, count)` dispatch counters
-/// since process start — the bench JSON and CI smoke assertions read
-/// this.
+/// since process start — the ISA dispatch test in
+/// `tests/runtime_stress.rs` reads this.
 #[must_use]
 pub fn dispatch_counts() -> Vec<(&'static str, &'static str, u64)> {
     let variants = [SimdVariant::Scalar, SimdVariant::Avx2, SimdVariant::Vnni];

@@ -6,9 +6,8 @@
 //! The CPU analog: [`LiquidGemm`] owns a [`WorkerPool`] of persistent
 //! threads created once at `build()`; every `gemm` call publishes
 //! itself once and its tiles are pulled off it by whichever worker is
-//! free. `lq_sim::persistent::{makespan_wave, makespan_persistent}` is
-//! the analytical model of exactly this wave-launch vs persistent-pool
-//! trade-off.
+//! free. `lq_sim::cost_model::wave_quantization_factor` is the
+//! GPU-side cost a wave launch pays and a persistent kernel avoids.
 //!
 //! ## Board, cursor, retry list, latch
 //!

@@ -24,7 +24,7 @@
 //! | `lq_pool_busy_ns_total{worker}` | counter | time each worker spent executing (vs parked) |
 //! | `lq_pool_job_ns{worker}` | histogram | per-job latency |
 //! | `lq_pool_worker_restarts_total` | counter | worker threads quarantined and respawned after a job panic |
-//! | `lq_pool_job_retries_total` | counter | panicked tiles handed back for another attempt (0 in any fault-free run — the CI smoke bench gates on it) |
+//! | `lq_pool_job_retries_total` | counter | panicked tiles handed back for another attempt (0 in any fault-free run — `tests/runtime_stress.rs` asserts it) |
 //!
 //! Roles mirror the paper's compute warp groups: `compute` is the
 //! fused dequant+MMA tile (Flat/ImFP), `dequant`/`mma` the two stages

@@ -2,15 +2,23 @@
 //! one shared `LiquidGemm` handle, several caller threads, mixed
 //! Lqq/Qoq schemes, mixed shapes, every pool-backed variant — all
 //! results bit-exact against the serial kernels; plus lifecycle tests
-//! proving workers join on drop and survive panics in jobs.
+//! proving workers join on drop and survive panics in jobs, an exact
+//! tile-count audit per backend, and the ISA dispatch check.
+//!
+//! CI also runs this binary under `LQ_FORCE_SCALAR=1`, so the audit and
+//! dispatch tests cover the scalar family too.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 
 use lq_core::api::W4A8Weights;
+use lq_core::microkernel::dispatch_counts;
 use lq_core::reference::max_abs_diff;
 use lq_core::serial::w4a8_serial;
-use lq_core::{FaultInjector, FaultPlan, KernelKind, LiquidGemm, PackedLqqLinear, PackedQoqLinear};
+use lq_core::{
+    registry, FaultInjector, FaultPlan, KernelKind, LiquidGemm, MicrokernelSet, PackedLqqLinear,
+    PackedQoqLinear, SimdVariant,
+};
 use lq_quant::act::QuantizedActivations;
 use lq_quant::mat::Mat;
 use lq_rng::Rng;
@@ -186,4 +194,65 @@ fn panic_in_job_then_clean_drop() {
     assert_eq!(max_abs_diff(&y, &c.want_qoq), 0.0);
     drop(lg);
     assert_eq!(probe.load(Ordering::SeqCst), 0, "no deadlock on drop");
+}
+
+/// Pool audit, once per registered backend on a fresh 4-worker pool:
+/// the workers' tile counts sum to exactly calls × ⌈N / `task_rows`⌉
+/// the moment the last `gemm` returns (every tile ran once), and a
+/// fault-free run records no retry (a retry here means a worker
+/// panicked spontaneously).
+#[test]
+fn pool_audit_counts_every_tile_once_and_never_retries() {
+    const CALLS: usize = 64;
+    let (m, n, k, task_rows) = (8, 128, 256, 2);
+    let wf = Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.11).sin());
+    let xf = Mat::from_fn(m, k, |r, c| ((r * k + c) as f32 * 0.05).sin());
+    let qa = QuantizedActivations::quantize(&xf, None);
+    for backend in registry() {
+        let id = backend.id();
+        let weights = W4A8Weights::quantize(&wf, 64, id);
+        let lg = LiquidGemm::builder()
+            .workers(4)
+            .task_rows(task_rows)
+            .build()
+            .unwrap();
+        for _ in 0..CALLS {
+            let _ = lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::ImFp);
+        }
+        let stats = lg.pool().worker_stats();
+        let jobs: u64 = stats.iter().map(|s| s.jobs).sum();
+        let retries: u64 = stats.iter().map(|s| s.retries).sum();
+        assert_eq!(jobs, (CALLS * n.div_ceil(task_rows)) as u64, "{id}: tiles");
+        assert_eq!(retries, 0, "{id}: retries on a fault-free run");
+    }
+}
+
+/// ISA dispatch: the process-wide microkernel set is the best variant
+/// this CPU detects (a silent scalar fallback on a SIMD host costs
+/// 3–8×), or scalar when `LQ_FORCE_SCALAR` is set; and a pool GEMM
+/// actually dispatches to it.
+#[test]
+fn global_microkernels_are_the_best_detected_and_dispatch() {
+    let forced = std::env::var_os("LQ_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
+    let want = if forced {
+        SimdVariant::Scalar
+    } else {
+        SimdVariant::best_available()
+    };
+    let variant = MicrokernelSet::global().variant();
+    assert_eq!(variant, want, "LQ_FORCE_SCALAR set: {forced}");
+    let lg = LiquidGemm::builder().workers(2).build().unwrap();
+    assert_eq!(lg.pool().microkernels().variant(), variant);
+    let cases = build_cases();
+    let c = &cases[4];
+    let y = lg.gemm(&c.x, &c.scales, &c.lqq, KernelKind::ImFp).y;
+    assert_eq!(max_abs_diff(&y, &c.want_lqq), 0.0);
+    assert!(
+        dispatch_counts()
+            .iter()
+            .any(|&(v, _, count)| v == variant.label() && count > 0),
+        "no dispatch recorded for {}: {:?}",
+        variant.label(),
+        dispatch_counts()
+    );
 }

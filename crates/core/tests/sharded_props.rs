@@ -2,7 +2,9 @@
 //! (DESIGN.md §14): column-parallel and row-parallel sharded GEMMs
 //! must be **bit-identical** (`max_abs_diff == 0`) to the unsharded
 //! kernel on ragged shapes, for every registered backend, every
-//! microkernel variant detected on this host, and shard counts 1–4.
+//! microkernel variant detected on this host, and shard counts 1–4 —
+//! and each column-parallel call runs exactly its column window's tiles
+//! on each shard pool.
 //!
 //! Raggedness is the point: N not divisible by the shard count
 //! (uneven column windows), M = 1 (the decode hot path), and K cuts
@@ -35,6 +37,12 @@ fn problem(rng: &mut Rng, case: usize) -> (Mat<i8>, Vec<f32>, Mat<f32>, usize) {
     (x, scales, w, group)
 }
 
+/// Tiles shard `s`'s pool has run since it was built.
+fn shard_jobs(tp: &ShardedGemm, s: usize) -> u64 {
+    let stats = tp.shard_pool(s).pool().worker_stats();
+    stats.iter().map(|w| w.jobs).sum()
+}
+
 fn sweep_variant(variant: SimdVariant) {
     let mut rng = Rng::new(0x5AA2_D001 ^ variant as u64);
     for backend in BackendId::all() {
@@ -58,6 +66,7 @@ fn sweep_variant(variant: SimdVariant) {
                 let w1 = W4A8Weights::quantize(&wf, group, backend);
                 let want = reference.gemm(&x, &scales, &w1, KernelKind::Serial).y;
                 let sw = tp.pack_weights(&wf, group);
+                let before: Vec<u64> = (0..shards).map(|s| shard_jobs(&tp, s)).collect();
                 let col = tp.gemm(&x, &scales, &sw, KernelKind::ImFp).unwrap().y;
                 assert_eq!(
                     max_abs_diff(&col, &want),
@@ -68,6 +77,17 @@ fn sweep_variant(variant: SimdVariant) {
                     wf.rows(),
                     x.cols(),
                 );
+                // Exact tile count: each shard pool ran its column
+                // window's tiles once, and nothing else.
+                for (s, jobs) in before.iter().enumerate() {
+                    let (n0, n1) = sw.col_range(s);
+                    let task_rows = tp.shard_pool(s).config().task_rows;
+                    assert_eq!(
+                        shard_jobs(&tp, s) - jobs,
+                        (n1 - n0).div_ceil(task_rows) as u64,
+                        "shard {s} tiles, {backend:?}/{variant:?} shards={shards} case={case}"
+                    );
+                }
                 let row = tp.gemm_row(&x, &scales, &sw).unwrap().y;
                 assert_eq!(
                     max_abs_diff(&row, &want),

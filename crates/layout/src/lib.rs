@@ -13,8 +13,9 @@
 //!
 //! This crate implements all three access disciplines (the broken ones as
 //! analysable models, the good one as the real packing used by the CPU
-//! kernels), plus the tile machinery and a shared-memory bank-conflict
-//! model that quantifies the 1-D-vs-2-D layout claim.
+//! kernels), plus a shared-memory bank-conflict model that quantifies the
+//! 1-D-vs-2-D layout claim. The `fig07_layout` binary in `lq-bench`
+//! prints the three comparisons from these models.
 //!
 //! * [`pack`] — bit-packing UINT4 values into `u32` words, including the
 //!   offline interleave permutation that makes the register-level unpack
@@ -24,8 +25,6 @@
 //!   conventional alternatives.
 //! * [`ldmatrix`] — a model of `ldmatrix`'s byte-granularity scatter,
 //!   demonstrating the mis-delivery the paper describes (Figure 7a).
-//! * [`tiles`] — tile-shape configuration and output-tile iteration used
-//!   by kernels, cost model, and simulator.
 //! * [`bank`] — shared-memory bank-conflict accounting.
 
 #![forbid(unsafe_code)]
@@ -35,8 +34,6 @@ pub mod bank;
 pub mod dual_mma;
 pub mod ldmatrix;
 pub mod pack;
-pub mod tiles;
 
 pub use dual_mma::{DualMmaWeights, LoadCost};
 pub use pack::{pack_interleaved8, pack_row_words, unpack_row_words, INTERLEAVE};
-pub use tiles::{TileConfig, TileIter};

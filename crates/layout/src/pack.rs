@@ -51,81 +51,6 @@ pub fn unpack_row_words(words: &[u32]) -> Vec<u8> {
     out
 }
 
-/// K-major packing of an activation block into `mr`-row panels — the
-/// BLIS-style "A panel" layout, kept as a *measured counterexample* for
-/// the CPU microkernel (see `lq_core::microkernel`'s module doc).
-///
-/// `src` is a row-major `m×k` INT8 block. The output holds
-/// `m / mr` complete panels (tail rows `m - m % mr` onward are *not*
-/// packed — an edge path would read them straight from the source
-/// rows). Panel `p` stores element `(p*mr + i, t)` at
-/// `p*k*mr + t*mr + i`: walking K, the `mr` token lanes of one K step
-/// are adjacent — the layout hand-written SIMD microkernels broadcast
-/// from. Under LLVM *autovectorization* (this workspace forbids
-/// intrinsics) the stride-`mr` lane access defeats the reduction-loop
-/// vectorizer, and the register-tiled microkernel measured 2–5× slower
-/// on this layout than on plain contiguous rows, so `lq-core` stages
-/// activations row-major instead and this pack is not on the hot path.
-#[must_use]
-pub fn pack_a_panels_kmajor(src: &[i8], m: usize, k: usize, mr: usize) -> Vec<i8> {
-    assert!(mr >= 1, "panel height must be >= 1");
-    assert_eq!(src.len(), m * k, "source must be a dense m*k block");
-    let panels = m / mr;
-    let mut out = vec![0i8; panels * k * mr];
-    for p in 0..panels {
-        let base = p * k * mr;
-        for i in 0..mr {
-            let row = &src[(p * mr + i) * k..(p * mr + i + 1) * k];
-            for (t, &v) in row.iter().enumerate() {
-                out[base + t * mr + i] = v;
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`pack_a_panels_kmajor`] over the packed rows (offline
-/// verification only): returns the `(m / mr) * mr` packed rows in
-/// row-major order.
-#[must_use]
-pub fn unpack_a_panels_kmajor(packed: &[i8], k: usize, mr: usize) -> Vec<i8> {
-    assert!(mr >= 1 && k >= 1);
-    assert_eq!(packed.len() % (k * mr), 0, "not a whole number of panels");
-    let panels = packed.len() / (k * mr);
-    let mut out = vec![0i8; panels * mr * k];
-    for p in 0..panels {
-        let base = p * k * mr;
-        for i in 0..mr {
-            for t in 0..k {
-                out[(p * mr + i) * k + t] = packed[base + t * mr + i];
-            }
-        }
-    }
-    out
-}
-
-/// Plain (non-interleaved) packing: nibble `i` = element `i`.
-/// Used by the conventional-layout baselines.
-#[must_use]
-pub fn pack_row_words_plain(vals: &[u8]) -> Vec<u32> {
-    assert_eq!(vals.len() % 8, 0, "row length must be a multiple of 8");
-    vals.chunks_exact(8)
-        .map(|c| pack8_u4([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect()
-}
-
-/// Inverse of [`pack_row_words_plain`].
-#[must_use]
-pub fn unpack_row_words_plain(words: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 8);
-    for &w in words {
-        for i in 0..8u32 {
-            out.push(((w >> (4 * i)) & 0xF) as u8);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,59 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn plain_roundtrip() {
-        let vals: Vec<u8> = (0..32).map(|i| (i % 16) as u8).collect();
-        assert_eq!(unpack_row_words_plain(&pack_row_words_plain(&vals)), vals);
-    }
-
-    #[test]
-    fn interleaved_and_plain_differ() {
-        let vals: Vec<u8> = (0..8).collect();
-        assert_ne!(pack_row_words(&vals), pack_row_words_plain(&vals));
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of 8")]
     fn odd_length_panics() {
         let _ = pack_row_words(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn a_panels_roundtrip_exact_multiple() {
-        let (m, k, mr) = (8, 10, 4);
-        let src: Vec<i8> = (0..m * k).map(|v| (v % 251) as i8).collect();
-        let packed = pack_a_panels_kmajor(&src, m, k, mr);
-        assert_eq!(packed.len(), (m / mr) * k * mr);
-        assert_eq!(unpack_a_panels_kmajor(&packed, k, mr), src);
-    }
-
-    #[test]
-    fn a_panels_kmajor_layout_is_token_adjacent() {
-        // 2 rows, k=3, mr=2: element (row, t) lands at t*2 + row.
-        let src: Vec<i8> = vec![1, 2, 3, 4, 5, 6];
-        let packed = pack_a_panels_kmajor(&src, 2, 3, 2);
-        assert_eq!(packed, vec![1, 4, 2, 5, 3, 6]);
-    }
-
-    #[test]
-    fn a_panels_tail_rows_are_dropped() {
-        // m=7, mr=4: one full panel (rows 0..4); rows 4..7 unpacked.
-        let (m, k, mr) = (7, 5, 4);
-        let src: Vec<i8> = (0..(m * k) as i32).map(|v| (v - 17) as i8).collect();
-        let packed = pack_a_panels_kmajor(&src, m, k, mr);
-        assert_eq!(packed.len(), k * mr);
-        assert_eq!(unpack_a_panels_kmajor(&packed, k, mr), src[..4 * k]);
-    }
-
-    #[test]
-    fn a_panels_m_smaller_than_mr_packs_nothing() {
-        let src = vec![1i8, 2, 3, 4];
-        assert!(pack_a_panels_kmajor(&src, 1, 4, 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "dense m*k block")]
-    fn a_panels_shape_mismatch_panics() {
-        let _ = pack_a_panels_kmajor(&[1, 2, 3], 2, 2, 2);
     }
 }

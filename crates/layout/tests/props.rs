@@ -3,16 +3,12 @@
 
 use lq_layout::bank::{analyze_access, NUM_BANKS};
 use lq_layout::dual_mma::{dual_mma_load_cost, lds32_load_cost, DualMmaWeights};
-use lq_layout::pack::{
-    pack_row_words, pack_row_words_plain, unpack_row_words, unpack_row_words_plain,
-};
-use lq_layout::tiles::{TileConfig, TileIter};
+use lq_layout::pack::{pack_row_words, unpack_row_words};
 use lq_rng::Rng;
 
 const CASES: usize = 64;
 
-/// Interleaved and plain packings are both lossless for arbitrary
-/// nibble streams.
+/// The interleaved packing is lossless for arbitrary nibble streams.
 #[test]
 fn packings_roundtrip() {
     let mut rng = Rng::new(0x1A70_0001);
@@ -20,7 +16,6 @@ fn packings_roundtrip() {
         let len = rng.range_usize(1, 32) * 8;
         let vals: Vec<u8> = (0..len).map(|_| rng.below(16) as u8).collect();
         assert_eq!(&unpack_row_words(&pack_row_words(&vals)), &vals);
-        assert_eq!(&unpack_row_words_plain(&pack_row_words_plain(&vals)), &vals);
     }
 }
 
@@ -58,31 +53,6 @@ fn kslices_tile_the_row() {
             }
             assert_eq!(joined.as_slice(), w.row_words(r));
         }
-    }
-}
-
-/// Tile iteration covers every output cell exactly once for any
-/// problem/tile shape.
-#[test]
-fn tiles_partition_output() {
-    let mut rng = Rng::new(0x1A70_0004);
-    for _ in 0..CASES {
-        let m = rng.range_usize(1, 40);
-        let n = rng.range_usize(1, 40);
-        let cfg = TileConfig {
-            mt: rng.range_usize(1, 16),
-            nt: rng.range_usize(1, 16),
-            kt: 32,
-        };
-        let mut covered = vec![0u8; m * n];
-        for t in TileIter::new(cfg, m, n) {
-            for r in t.m0..t.m1 {
-                for c in t.n0..t.n1 {
-                    covered[r * n + c] += 1;
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c == 1));
     }
 }
 

@@ -20,8 +20,6 @@
 //! * [`act`] — per-token dynamic INT8 activation quantization.
 //! * [`fp8`] / [`fp16`] — E4M3 and IEEE binary16 codecs for the FP8 and
 //!   W4A16/FP16 baseline kernels.
-//! * [`w4f16`] — the AWQ-style UINT4 → FP16 magic-number conversion
-//!   (the TRT-W4A16 baseline's dequantization), instruction-audited.
 //! * [`weights`] — the end-to-end two-level pipeline producing a
 //!   [`weights::QuantizedLinear`] ready for the GEMM kernels.
 //! * [`metrics`] — quantization-error metrics (MSE, SQNR, max-abs,
@@ -56,7 +54,6 @@ pub mod metrics;
 pub mod packed;
 pub mod qoq;
 pub mod smooth;
-pub mod w4f16;
 pub mod weights;
 
 pub use act::{quantize_token, QuantizedActivations};

@@ -18,8 +18,6 @@
 //!   GEMV specialisation; drives Figures 5 and 12.
 //! * [`trends`] — hardware-trend projection (Section 3.3's "implication
 //!   on LLM serving"): transitions and dequant budgets on scaled GPUs.
-//! * [`persistent`] — persistent-kernel tile scheduling vs
-//!   wave-synchronous launches (Section 5.4's optimisation, quantified).
 //! * [`pipeline_sim`] — a discrete-event simulator of warp-group
 //!   pipelines inside one thread block (TMA / CUDA-core / tensor-core
 //!   units, stage buffers, synchronisation costs), reproducing the
@@ -30,7 +28,6 @@
 
 pub mod cost_model;
 pub mod kernel_model;
-pub mod persistent;
 pub mod pipeline_sim;
 pub mod roofline;
 pub mod specs;

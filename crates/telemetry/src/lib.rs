@@ -13,10 +13,10 @@
 //!   bucket-resolution estimates, `max` is exact).
 //! * **Off by default.** Recording is gated on one process-global
 //!   `AtomicBool`: until [`enable`] is called, every record path is a
-//!   relaxed load + branch — the "noop recorder" — so benchmark hot
-//!   loops are unaffected (<5% on `cpu_kernel_bench` is the budget;
-//!   measured ~0%). Instrumented crates additionally skip handle
-//!   lookups entirely when disabled.
+//!   relaxed load + branch — the "noop recorder" — so hot loops are
+//!   unaffected (<5% on the kernels is the budget; measured ~0%).
+//!   Instrumented crates additionally skip handle lookups entirely when
+//!   disabled.
 //! * **Handles are `Arc`s.** Look up `registry().counter_with(...)`
 //!   once per phase, then record lock-free through the handle.
 //!

@@ -10,7 +10,7 @@
 //!   overflow-free IMAD+XOR dequantization, the QoQ baseline,
 //!   SmoothQuant calibration, FP8/FP16 codecs.
 //! * [`layout`] — dual-MMA packed weight layout, the `ldmatrix`
-//!   mis-scatter model, tiles, bank-conflict accounting.
+//!   mis-scatter model, bank-conflict accounting.
 //! * [`core`] — the kernels: serial and pipelined (flat / ExCP / ImFP)
 //!   W4A8 GEMM plus W8A8 / W4A16 / FP16 / FP8 baselines, all driven by
 //!   a persistent worker-pool runtime behind the [`core::LiquidGemm`]

@@ -44,16 +44,22 @@ fn pool_trace_every_start_has_a_matching_finish() {
     tr::enable();
     let _ = tr::take_events(); // drop another test's leftovers
 
-    let lg = LiquidGemm::builder().workers(3).build().unwrap();
+    // N = 64 at 16 rows per tile: 4 tiles per call.
+    let lg = LiquidGemm::builder()
+        .workers(3)
+        .task_rows(16)
+        .build()
+        .unwrap();
     let (x, s, w) = fixture(5, 64, 128);
     let want = lg.gemm(&x, &s, &w, KernelKind::Serial).y;
-    for kind in [KernelKind::FlatParallel, KernelKind::ExCp, KernelKind::ImFp] {
+    let kinds = [KernelKind::FlatParallel, KernelKind::ExCp, KernelKind::ImFp];
+    for kind in kinds {
         let got = lg.gemm(&x, &s, &w, kind).y;
         assert_eq!(got.as_slice(), want.as_slice(), "{kind:?} result changed");
     }
-    // `job_finish` is recorded by the worker *after* the reply that
-    // unblocks the caller; joining the pool flushes every in-flight
-    // record before the drain.
+    // A worker records `job_finish` *before* the latch that releases the
+    // caller, so every event of these calls is in the rings by the time
+    // `gemm` returns.
     drop(lg);
 
     let evs = tr::take_events();
@@ -84,9 +90,13 @@ fn pool_trace_every_start_has_a_matching_finish() {
             "job {id} started but never submitted"
         );
     }
-    // ExCP forwards one MMA job per Dequant job, so more jobs finish
-    // than were placed externally — and each still matched above.
-    assert_eq!(started.len(), finished.len());
+    // Every kind — ExCP included, whose tile body runs both of its
+    // stages — is one job per tile: 3 calls × 4 tiles, each published,
+    // started and finished exactly once.
+    let want_jobs = kinds.len() * 4;
+    assert_eq!(submitted.len(), want_jobs, "published jobs");
+    assert_eq!(started.len(), want_jobs, "started jobs");
+    assert_eq!(finished.len(), want_jobs, "finished jobs");
 
     // Stage spans exist for all three roles (flat/imfp → compute,
     // excp → dequant + mma).
