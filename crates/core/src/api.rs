@@ -15,7 +15,7 @@ use lq_quant::mat::Mat;
 
 pub use crate::pipeline::ParallelConfig;
 
-/// Pipeline strategy for the W4A8 kernel.
+/// Pipeline strategy for the GEMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     /// Single-threaded, no pipeline (ablation baseline).
@@ -37,7 +37,8 @@ pub enum KernelKind {
     ImFp,
 }
 
-/// W4A8 weights packed by any registered [`lq_quant::KernelBackend`].
+/// Weights packed by any registered [`lq_quant::KernelBackend`], W8A8
+/// included (the name predates the W8A8 backend).
 ///
 /// A cheap-to-clone handle (`Arc` inside) over the backend-specific
 /// packed representation. Construct with [`W4A8Weights::quantize`] (or

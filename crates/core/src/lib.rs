@@ -17,20 +17,18 @@
 //! what the ExCP-vs-ImFP ablation measures.
 //!
 //! Module map:
-//! * [`packed`] — kernel-ready weight containers for every precision the
-//!   paper benchmarks (W4A8-LQQ, W4A8-QoQ, W8A8, W4A16, FP16, FP8),
-//!   plus re-exports of the four registered W4A8 backends' containers
-//!   (LQQ, QoQ, LUT, codebook — see [`lq_quant::backend`]). Every W4A8
-//!   kernel entry point takes `&dyn` [`PackedWeights`], so any registry
-//!   backend runs on any pipeline.
+//! * [`packed`] — re-exports of the five registered backends' weight
+//!   containers (W4A8 LQQ, QoQ, LUT and codebook, and the W8A8
+//!   baseline — see [`lq_quant::backend`]). Every kernel entry point
+//!   takes `&dyn` [`PackedWeights`], so any registry backend runs on
+//!   any pipeline, view and ISA tier.
 //! * [`microkernel`] — the raw (uncounted) SWAR dequant paths, the
 //!   register-tiled INT8 microkernels behind [`MicrokernelSet`], and
 //!   the one lane reduction that hands out exact dot products.
 //! * [`simd`] — the explicit AVX2 / AVX-512-VNNI microkernel leaves.
-//! * [`reference`] — naive GEMM oracles used by every test.
-//! * [`serial`] — the one fused dequant→MMA strip loop every W4A8 path
-//!   runs, the serial W4A8 kernel built on it, and the single-threaded
-//!   baselines for the other precisions.
+//! * [`reference`](mod@reference) — naive GEMM oracles used by every test.
+//! * [`serial`] — the one fused dequant→MMA strip loop every backend
+//!   runs, and the serial kernel built on it.
 //! * [`epilogue`] — the strip loop's output sinks (fused f32 scale
 //!   application, or exact integer sums) and the `(W·Xᵀ)ᵀ` helpers.
 //! * [`runtime`] — the persistent worker pool (the paper's §5.4
@@ -79,8 +77,7 @@ pub use lq_quant::backend::{
 };
 pub use microkernel::MicrokernelSet;
 pub use packed::{
-    Fp16Linear, Fp8Linear, PackedCodebookLinear, PackedLqqLinear, PackedLutLinear, PackedQoqLinear,
-    W4A16Linear, W8A8Linear,
+    PackedCodebookLinear, PackedLqqLinear, PackedLutLinear, PackedQoqLinear, W8A8Linear,
 };
 pub use pipeline::{ConfigError, ParallelConfigBuilder};
 pub use runtime::{LiquidGemm, LiquidGemmBuilder, WorkerPool, WorkerStats};

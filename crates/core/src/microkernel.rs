@@ -246,18 +246,6 @@ pub fn scatter_channel(a: &APanels, acc: &[i32], nr: usize, act: &[f32], ch: f32
     MicrokernelSet::scalar().scatter(a, acc, nr, act, ch, out);
 }
 
-/// f32 dot product (FP16/FP8/W4A16 baselines).
-#[inline]
-#[must_use]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
-}
-
 // ===========================================================================
 // MicrokernelSet — the ISA dispatch layer (DESIGN.md §13).
 // ===========================================================================
@@ -755,14 +743,6 @@ mod tests {
         let a = vec![-128i8; 8192];
         let b = vec![-128i8; 8192];
         assert_eq!(dot_i8(&a, &b), 8192 * 16384);
-    }
-
-    #[test]
-    fn dot_f32_matches_naive() {
-        let a: Vec<f32> = (0..100).map(|i| i as f32 * 0.5).collect();
-        let b: Vec<f32> = (0..100).map(|i| (i as f32).cos()).collect();
-        let want: f32 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-        assert!((dot_f32(&a, &b) - want).abs() < 1e-3);
     }
 
     /// Every detected variant, end-to-end through

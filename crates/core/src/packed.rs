@@ -1,200 +1,13 @@
-//! Kernel-ready weight containers, one per precision the paper
-//! benchmarks (Figures 5, 12; Table 1).
+//! Kernel-ready weight containers, re-exported from `lq-quant`.
 //!
-//! The W4A8 containers ([`PackedLqqLinear`], [`PackedQoqLinear`]) live
-//! in `lq-quant` since the kernel-backend redesign (they are part of
-//! the [`lq_quant::backend`] registry together with the LUT and
-//! codebook backends) and are re-exported here unchanged. The
-//! remaining baseline precisions keep their containers in this module:
-//! each stores the weights in the exact memory format its kernel
-//! streams, plus the scale metadata its epilogue needs, and reports
-//! its weight-memory footprint for the serving simulator's memory
-//! accounting.
-
-use lq_quant::fp16::F16;
-use lq_quant::fp8::f32_to_e4m3;
-use lq_quant::level1::quantize_per_channel_i8;
-use lq_quant::mat::Mat;
+//! Every container — the four W4A8 backends' ([`PackedLqqLinear`],
+//! [`PackedQoqLinear`], [`PackedLutLinear`], [`PackedCodebookLinear`])
+//! and the W8A8 baseline's ([`W8A8Linear`]) — lives in `lq-quant` next
+//! to its [`lq_quant::backend`] registry entry. Each stores the weights
+//! in the exact memory format its kernel streams, plus the scale
+//! metadata its epilogue needs, and reports its weight-memory footprint
+//! for the serving simulator's memory accounting.
 
 pub use lq_quant::codebook::PackedCodebookLinear;
 pub use lq_quant::lut::PackedLutLinear;
-pub use lq_quant::packed::{PackedLqqLinear, PackedQoqLinear};
-
-/// W8A8 weights: plain INT8 rows, per-channel scales, no second level.
-#[derive(Debug, Clone)]
-pub struct W8A8Linear {
-    /// INT8 weights, `N×K`.
-    pub q: Mat<i8>,
-    /// Per-channel scales.
-    pub channel_scales: Vec<f32>,
-}
-
-impl W8A8Linear {
-    /// Quantize FP weights per-channel to INT8 (full `[-127,127]` range
-    /// is unnecessary here; we reuse the protective-range level-1 so the
-    /// W8A8 and W4A8 kernels share their level-1 grid in comparisons).
-    #[must_use]
-    pub fn quantize(w: &Mat<f32>) -> Self {
-        let l1 = quantize_per_channel_i8(w);
-        Self {
-            q: l1.q,
-            channel_scales: l1.scales.iter().map(|s| s.scale).collect(),
-        }
-    }
-
-    /// Weight bytes (1 byte per element + scales).
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.q.len() + self.channel_scales.len() * 4
-    }
-}
-
-/// W4A16 weights: two-level UINT4 storage, dequantized to FP in-kernel,
-/// FP activations.
-#[derive(Debug, Clone)]
-pub struct W4A16Linear {
-    /// The packed LQQ weights (reuses the same storage machinery).
-    pub packed: PackedLqqLinear,
-}
-
-impl W4A16Linear {
-    /// Quantize FP weights (group-wise UINT4, like TRT-W4A16's AWQ-style
-    /// format in spirit).
-    #[must_use]
-    pub fn quantize(w: &Mat<f32>, group: usize) -> Self {
-        Self {
-            packed: PackedLqqLinear::quantize(w, group),
-        }
-    }
-
-    /// Weight bytes.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.packed.weight_bytes()
-    }
-}
-
-/// FP16 weights (baseline; compute in f32).
-#[derive(Debug, Clone)]
-pub struct Fp16Linear {
-    /// Output channels.
-    pub n: usize,
-    /// Reduction dim.
-    pub k: usize,
-    /// binary16 weights, row-major.
-    pub w: Vec<F16>,
-}
-
-impl Fp16Linear {
-    /// Encode FP32 weights to binary16 storage.
-    #[must_use]
-    pub fn encode(w: &Mat<f32>) -> Self {
-        Self {
-            n: w.rows(),
-            k: w.cols(),
-            w: w.as_slice().iter().map(|&v| F16::from_f32(v)).collect(),
-        }
-    }
-
-    /// One weight row.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &[F16] {
-        &self.w[r * self.k..(r + 1) * self.k]
-    }
-
-    /// Weight bytes.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.w.len() * 2
-    }
-}
-
-/// FP8 (E4M3) weights with per-channel scales (TRT-FP8 baseline).
-#[derive(Debug, Clone)]
-pub struct Fp8Linear {
-    /// Output channels.
-    pub n: usize,
-    /// Reduction dim.
-    pub k: usize,
-    /// E4M3 codes, row-major.
-    pub w: Vec<u8>,
-    /// Per-channel scales (weights are scaled into E4M3's range).
-    pub channel_scales: Vec<f32>,
-}
-
-impl Fp8Linear {
-    /// Encode FP32 weights: scale each channel so its absmax maps to
-    /// E4M3's max normal, then encode.
-    #[must_use]
-    pub fn encode(w: &Mat<f32>) -> Self {
-        let mut codes = Vec::with_capacity(w.len());
-        let mut scales = Vec::with_capacity(w.rows());
-        for r in 0..w.rows() {
-            let row = w.row(r);
-            let absmax = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if absmax == 0.0 {
-                1.0
-            } else {
-                absmax / lq_quant::fp8::E4M3_MAX
-            };
-            scales.push(scale);
-            codes.extend(row.iter().map(|&v| f32_to_e4m3(v / scale)));
-        }
-        Self {
-            n: w.rows(),
-            k: w.cols(),
-            w: codes,
-            channel_scales: scales,
-        }
-    }
-
-    /// One weight row (codes).
-    #[must_use]
-    pub fn row(&self, r: usize) -> &[u8] {
-        &self.w[r * self.k..(r + 1) * self.k]
-    }
-
-    /// Weight bytes.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.w.len() + self.channel_scales.len() * 4
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn weights(n: usize, k: usize) -> Mat<f32> {
-        Mat::from_fn(n, k, |r, c| ((r * k + c) as f32 * 0.17).sin() * 2.0)
-    }
-
-    #[test]
-    fn weight_bytes_ordering_matches_precisions() {
-        let w = weights(16, 256);
-        let w4 = PackedLqqLinear::quantize(&w, 64).weight_bytes();
-        let w8 = W8A8Linear::quantize(&w).weight_bytes();
-        let w16 = Fp16Linear::encode(&w).weight_bytes();
-        let w8f = Fp8Linear::encode(&w).weight_bytes();
-        assert!(w4 < w8, "4-bit {w4} < 8-bit {w8}");
-        assert!(w8 < w16, "8-bit {w8} < 16-bit {w16}");
-        assert!((w8f as i64 - w8 as i64).unsigned_abs() < 200, "fp8 ≈ int8");
-    }
-
-    #[test]
-    fn fp8_encode_roundtrip_is_close() {
-        let w = weights(4, 64);
-        let f = Fp8Linear::encode(&w);
-        let lut = lq_quant::fp8::decode_lut();
-        for r in 0..4 {
-            for c in 0..64 {
-                let back = lut[f.row(r)[c] as usize] * f.channel_scales[r];
-                let orig = *w.get(r, c);
-                assert!(
-                    (back - orig).abs() <= orig.abs() / 8.0 + 0.05,
-                    "{back} vs {orig}"
-                );
-            }
-        }
-    }
-}
+pub use lq_quant::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};

@@ -55,7 +55,7 @@
 //!
 //! 1. The tile is only an index, so it survives the unwind: the worker
 //!    puts it on its call's retry list for another worker — with a
-//!    small attempts-proportional backoff, up to [`MAX_JOB_RETRIES`]
+//!    small attempts-proportional backoff, up to `MAX_JOB_RETRIES`
 //!    times. Integer accumulation keeps the retried result bit-exact
 //!    with the serial kernels.
 //! 2. The panicked worker is quarantined: it records the restart
@@ -785,7 +785,7 @@ impl TileCall for PanicProbe {
 /// let w = Mat::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.05).cos());
 /// let lg = LiquidGemm::builder()
 ///     .workers(2)
-///     .backend(BackendId::Lqq) // or Qoq, Lut, Codebook
+///     .backend(BackendId::Lqq) // or Qoq, Lut, Codebook, W8a8
 ///     .build()
 ///     .unwrap();
 /// let weights = lg.pack_weights(&w, 64);

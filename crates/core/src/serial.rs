@@ -1,35 +1,30 @@
-//! Single-threaded GEMM kernels for every precision under study, and
-//! the one fused dequant→MMA strip loop every W4A8 path runs.
+//! The one fused dequant→MMA strip loop every weight format runs, and
+//! the serial kernel built on it.
 //!
-//! These are the ablation's "no pipeline" variants and the correctness
-//! anchors for the parallel kernels. `strip_kernel` is the paper's
-//! §5.3 main loop — per strip of output channels, per K block:
+//! The serial kernel is the ablation's "no pipeline" variant and the
+//! correctness anchor for the parallel kernels. `strip_kernel` is the
+//! paper's §5.3 main loop — per strip of output channels, per K block:
 //! dequantize, then the register-tile MMA against all tokens — and it
 //! exists once: [`w4a8_serial`] runs it over the whole matrix on the
 //! calling thread, a fused pool tile ([`crate::runtime`]) runs it over
 //! its row range of the same shared weights. The *only* difference
-//! between two backends is the dequantization they plug in, making the
-//! LQQ-vs-QoQ benchmark a pure algorithm comparison, exactly like the
-//! paper's Figure 13 "+LQQ" ablation; the only difference between the
-//! f32 and the exact-integer result is the `Sink` the sums are handed
-//! to.
+//! between two backends is the dequantization they plug in (W8A8's is
+//! a copy), making the LQQ-vs-QoQ benchmark a pure algorithm
+//! comparison, exactly like the paper's Figure 13 "+LQQ" ablation, and
+//! W4A8-vs-W8A8 a pure weight-format one; the only difference between
+//! the f32 and the exact-integer result is the `Sink` the sums are
+//! handed to.
 //!
-//! Integer kernels are bit-exact against `reference::gemm_i8_ref` on the
-//! dequantized weights; float kernels match to rounding tolerance.
+//! Every kernel is bit-exact against `reference::gemm_i8_ref` on the
+//! backend's dequantized weights.
 
-use lq_quant::backend::PackedWeights;
-use lq_quant::fp8::decode_lut;
+use lq_quant::backend::{PackedWeights, MAX_GROUP};
 use lq_quant::mat::Mat;
 
 use crate::epilogue::{assemble_output, ScaleEpilogue, Sink};
-use crate::microkernel::{dot_f32, APanels, MicrokernelSet};
-use crate::packed::{Fp16Linear, Fp8Linear, W4A16Linear, W8A8Linear};
+use crate::microkernel::{APanels, MicrokernelSet};
 
-/// Largest group size the stack-allocated dequant buffer supports
-/// (defined next to the backend traits; re-exported for kernel users).
-pub use lq_quant::backend::MAX_GROUP;
-
-/// The shape contract of every W4A8 entry point — serial, pool and
+/// The shape contract of every GEMM entry point — serial, pool and
 /// row-parallel alike. `act_scales` is `None` for calls whose sink
 /// applies no activation scale.
 pub(crate) fn check_shapes(x: &Mat<i8>, act_scales: Option<&[f32]>, w: &dyn PackedWeights) {
@@ -95,9 +90,9 @@ pub(crate) fn materialize_tile(w: &dyn PackedWeights, j0: usize, rows: usize) ->
     tile
 }
 
-/// The strip loop over weights that are already INT8 (row-major
-/// `rows×k`): W8A8, and the ExCP Mma stage's materialised tile. Full
-/// strips feed the microkernel in place.
+/// The strip loop over a materialised row-major `rows×k` INT8 tile —
+/// the ExCP Mma stage, its only caller. Full strips feed the
+/// microkernel in place.
 pub(crate) fn dense_kernel(
     mk: MicrokernelSet,
     a: &APanels,
@@ -146,8 +141,8 @@ pub(crate) fn serial_tiles<S: Sink>(
     out
 }
 
-/// W4A8 serial kernel over any registered backend with the process-wide
-/// microkernel family ([`MicrokernelSet::global`]).
+/// Serial kernel over any registered backend, W8A8 included, with the
+/// process-wide microkernel family ([`MicrokernelSet::global`]).
 ///
 /// The loop structure, accumulation order, and epilogue are identical
 /// for every backend, so two backends that dequantize to the same INT8
@@ -157,9 +152,9 @@ pub fn w4a8_serial(x: &Mat<i8>, act_scales: &[f32], w: &dyn PackedWeights) -> Ma
     w4a8_serial_with(MicrokernelSet::global(), x, act_scales, w)
 }
 
-/// W4A8 serial kernel over any registered backend and an explicit
-/// microkernel family (the strip loop with the f32 epilogue as its
-/// sink).
+/// Serial kernel over any registered backend, W8A8 included, and an
+/// explicit microkernel family (the strip loop with the f32 epilogue as
+/// its sink).
 #[must_use]
 pub fn w4a8_serial_with(
     mk: MicrokernelSet,
@@ -169,96 +164,6 @@ pub fn w4a8_serial_with(
 ) -> Mat<f32> {
     let y_t = serial_tiles(mk, x, w, &ScaleEpilogue(act_scales.to_vec()));
     assemble_output(y_t, x.rows(), w.n())
-}
-
-/// W8A8, serial: the symmetric-GEMM baseline — no dequantization in the
-/// main loop at all (paper, Figure 3 right).
-#[must_use]
-pub fn w8a8_serial(x: &Mat<i8>, act_scales: &[f32], w: &W8A8Linear) -> Mat<f32> {
-    assert_eq!(x.cols(), w.q.cols(), "K mismatch");
-    assert_eq!(act_scales.len(), x.rows(), "one scale per token");
-    let a = APanels::pack(x);
-    let (m, k, n) = (x.rows(), x.cols(), w.q.rows());
-    let mut out = Mat::zeros(m, n);
-    dense_kernel(
-        MicrokernelSet::global(),
-        &a,
-        w.q.as_slice(),
-        (n, k),
-        |j, i, s| out.set(i, j, s as f32 * act_scales[i] * w.channel_scales[j]),
-    );
-    out
-}
-
-/// W4A16, serial: UINT4 weights dequantized to f32 in the main loop
-/// (two levels fused), f32 activations, f32 accumulation.
-#[must_use]
-pub fn w4a16_serial(x: &Mat<f32>, w: &W4A16Linear) -> Mat<f32> {
-    let p = &w.packed;
-    assert_eq!(x.cols(), p.k, "K mismatch");
-    assert!(p.group <= MAX_GROUP, "group size exceeds MAX_GROUP");
-    let m = x.rows();
-    let mut out = Mat::zeros(m, p.n);
-    let mut ibuf = vec![0i8; p.k];
-    let mut fbuf = [0.0f32; MAX_GROUP];
-    let mut acc = vec![0.0f32; m];
-    for j in 0..p.n {
-        acc.fill(0.0);
-        let ch = p.channel_scales[j];
-        p.dequant_block(j, 1, 0, &mut ibuf);
-        for (g, qs) in ibuf.chunks_exact(p.group).enumerate() {
-            for (f, &q) in fbuf.iter_mut().zip(qs) {
-                *f = f32::from(q) * ch;
-            }
-            let k0 = g * p.group;
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a += dot_f32(&fbuf[..p.group], &x.row(i)[k0..k0 + p.group]);
-            }
-        }
-        for (i, &a) in acc.iter().enumerate() {
-            out.set(i, j, a);
-        }
-    }
-    out
-}
-
-/// FP16 baseline, serial: binary16 weights decoded on the fly, f32 math.
-#[must_use]
-pub fn fp16_serial(x: &Mat<f32>, w: &Fp16Linear) -> Mat<f32> {
-    assert_eq!(x.cols(), w.k, "K mismatch");
-    let m = x.rows();
-    let mut out = Mat::zeros(m, w.n);
-    let mut frow = vec![0.0f32; w.k];
-    for j in 0..w.n {
-        for (f, h) in frow.iter_mut().zip(w.row(j).iter()) {
-            *f = h.to_f32();
-        }
-        for i in 0..m {
-            out.set(i, j, dot_f32(&frow, x.row(i)));
-        }
-    }
-    out
-}
-
-/// FP8 (E4M3) baseline, serial: table-decoded weights, f32 math,
-/// per-channel scale in the epilogue.
-#[must_use]
-pub fn fp8_serial(x: &Mat<f32>, w: &Fp8Linear) -> Mat<f32> {
-    assert_eq!(x.cols(), w.k, "K mismatch");
-    let lut = decode_lut();
-    let m = x.rows();
-    let mut out = Mat::zeros(m, w.n);
-    let mut frow = vec![0.0f32; w.k];
-    for j in 0..w.n {
-        for (f, &c) in frow.iter_mut().zip(w.row(j).iter()) {
-            *f = lut[c as usize];
-        }
-        let ch = w.channel_scales[j];
-        for i in 0..m {
-            out.set(i, j, dot_f32(&frow, x.row(i)) * ch);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -310,52 +215,6 @@ mod tests {
         let ch: Vec<f32> = q.channel_scales.iter().map(|s| s.scale).collect();
         let want = epilogue_ref(&acc, &xs, &ch);
         assert_eq!(max_abs_diff(&got, &want), 0.0, "must be bit-exact");
-    }
-
-    #[test]
-    fn w8a8_serial_matches_reference() {
-        let (m, n, k) = (4, 6, 96);
-        let (_, wf) = fixture(m, n, k);
-        let (xq, xs) = quantized_inputs(m, k);
-        let w = W8A8Linear::quantize(&wf);
-        let got = w8a8_serial(&xq, &xs, &w);
-        let acc = gemm_i8_ref(&xq, &w.q);
-        let want = epilogue_ref(&acc, &xs, &w.channel_scales);
-        assert_eq!(max_abs_diff(&got, &want), 0.0);
-    }
-
-    #[test]
-    fn w4a16_serial_matches_dequantized_f32_gemm() {
-        let (m, n, k) = (3, 5, 128);
-        let (x, wf) = fixture(m, n, k);
-        let w = W4A16Linear::quantize(&wf, 64);
-        let got = w4a16_serial(&x, &w);
-        // Oracle: full dequant to f32, then f32 GEMM.
-        let q = QuantizedLinear::quantize(&wf, 64, QuantScheme::Lqq, None);
-        let want = gemm_f32_ref(&x, &q.dequant_to_f32());
-        assert!(max_abs_diff(&got, &want) < 1e-3);
-    }
-
-    #[test]
-    fn fp16_serial_close_to_f32_gemm() {
-        let (m, n, k) = (4, 4, 64);
-        let (x, wf) = fixture(m, n, k);
-        let w = Fp16Linear::encode(&wf);
-        let got = fp16_serial(&x, &w);
-        let want = gemm_f32_ref(&x, &wf);
-        // binary16 weights: relative error ~2^-11 per element.
-        assert!(max_abs_diff(&got, &want) < 0.05);
-    }
-
-    #[test]
-    fn fp8_serial_close_to_f32_gemm() {
-        let (m, n, k) = (4, 4, 64);
-        let (x, wf) = fixture(m, n, k);
-        let w = Fp8Linear::encode(&wf);
-        let got = fp8_serial(&x, &w);
-        let want = gemm_f32_ref(&x, &wf);
-        // E4M3: ~6% relative per element; K=64 accumulation averages out.
-        assert!(max_abs_diff(&got, &want) < 1.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **Column parallel** ([`ShardedGemm::gemm`]): the N dimension
 //!   (output channels) is split into contiguous windows, one per
 //!   shard. Every shard runs the ordinary scaled kernel over a
-//!   row-offset *view* of one shared pack ([`ShardView`]) and the
+//!   row-offset *view* of one shared pack (`ShardView`) and the
 //!   outputs are concatenated column-wise — a deterministic
 //!   all-gather. Per-channel accumulator chains are independent, so
 //!   each output column is computed by exactly the same instruction

@@ -6,7 +6,7 @@
 //!
 //! Exported families, labeled `variant="serial"|"flat"|"excp"|"imfp"`
 //! (a `serial` call runs no pool tasks and records `lq_gemm_ns` only)
-//! and `backend="lqq"|"qoq"|"lut"|"codebook"` — the
+//! and `backend="lqq"|"qoq"|"lut"|"codebook"|"w8a8"` — the
 //! [`lq_quant::BackendId`] the call dispatched to, so per-backend
 //! counters and histograms never alias:
 //!

@@ -240,7 +240,7 @@ fn every_detected_variant_survives_extreme_inputs() {
 
 /// End-to-end differential over the real dequant path: the serial
 /// driver under every detected variant, against the scalar variant,
-/// for every registered W4A8 backend (LQQ, QoQ, LUT, codebook).
+/// for every registered backend (LQQ, QoQ, LUT, codebook, W8A8).
 #[test]
 fn every_variant_matches_scalar_through_serial_for_all_backends() {
     let (m, n, k) = (5, 23, 256);

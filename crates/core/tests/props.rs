@@ -9,7 +9,7 @@ use lq_core::api::W4A8Weights;
 use lq_core::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
 use lq_core::pipeline::ParallelConfig;
 use lq_core::reference::{epilogue_ref, gemm_i8_ref, max_abs_diff};
-use lq_core::serial::{w4a8_serial, w8a8_serial};
+use lq_core::serial::w4a8_serial;
 use lq_core::{KernelKind, LiquidGemm};
 use lq_quant::level1::PROTECTIVE_MAX;
 use lq_quant::lqq::LqqTensor;
@@ -65,20 +65,25 @@ fn qoq_serial_equals_oracle() {
     }
 }
 
-/// W8A8 kernel == its oracle, bitwise.
+/// W8A8 through the one strip kernel == its oracle, bitwise: on the
+/// serial kernel and on the pool's ImFP path.
 #[test]
 fn w8a8_equals_oracle() {
     let mut rng = Rng::new(0xC0DE_0003);
+    let lg = LiquidGemm::builder().workers(2).build().unwrap();
     for case in 0..CASES {
         let (x, scales, w_l1) = problem(&mut rng);
         let ch: Vec<f32> = (0..w_l1.rows()).map(|_| 0.5).collect();
-        let w = W8A8Linear {
+        let w = W4A8Weights::from_arc(Arc::new(W8A8Linear {
             q: w_l1.clone(),
             channel_scales: ch.clone(),
-        };
-        let got = w8a8_serial(&x, &scales, &w);
+            group: 32,
+        }));
         let want = oracle(&x, &scales, &w_l1, &ch);
-        assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case}");
+        let got = w4a8_serial(&x, &scales, w.as_dyn());
+        assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case} serial");
+        let got = lg.gemm(&x, &scales, &w, KernelKind::ImFp).y;
+        assert_eq!(max_abs_diff(&got, &want), 0.0, "case {case} ImFP");
     }
 }
 

@@ -1,7 +1,8 @@
-//! The pluggable kernel-backend layer: every W4A8 dequant scheme is a
-//! [`KernelBackend`] behind a [`BackendId`]-keyed registry, and its
-//! packed weights answer a shared object-safe [`PackedWeights`]
-//! contract the kernels dispatch through.
+//! The pluggable kernel-backend layer: every weight format — the W4A8
+//! dequant schemes and the W8A8 baseline — is a [`KernelBackend`]
+//! behind a [`BackendId`]-keyed registry, and its packed weights answer
+//! a shared object-safe [`PackedWeights`] contract the kernels dispatch
+//! through.
 //!
 //! Before this layer the dequant algorithm was a closed enum
 //! (`PackedW4A8 { Lqq, Qoq }`) baked into every pipeline driver, so a
@@ -33,16 +34,34 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::codebook::CodebookGemmBackend;
-use crate::dequant::{dequant8_lqq_raw, dequant8_qoq_raw, dequant_block_nibbles};
+use crate::dequant::{block_shape, dequant8_lqq_raw, dequant8_qoq_raw, dequant_block_nibbles};
 use crate::lqq::LqqGroup;
 use crate::lut::LutDequantBackend;
 use crate::mat::Mat;
-use crate::packed::{PackedLqqLinear, PackedQoqLinear};
+use crate::packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
 use crate::qoq::QoqGroup;
 
-/// Largest supported quantization group (elements along K). Kernels
-/// size stack buffers with this, so packers must reject bigger groups.
+/// Largest supported quantization group (elements along K). The strip
+/// kernel dequantizes at least one whole group per K block, so the
+/// group bounds the strip it stages per block; capping it keeps that
+/// strip L1-resident. [`check_group`] rejects bigger groups at pack
+/// time, and the kernels re-check weights that bypassed `pack`.
 pub const MAX_GROUP: usize = 256;
+
+/// The one group-size check every [`KernelBackend::pack`] makes before
+/// it quantizes: `group` is in `1..=MAX_GROUP` and divides `k`.
+/// Backend-specific constraints (multiples of 8 for the nibble
+/// packers, of 16 for the codebook) stay in their own packers.
+///
+/// # Panics
+/// If `group` is out of range or does not divide `k`.
+pub fn check_group(k: usize, group: usize) {
+    assert!(
+        (1..=MAX_GROUP).contains(&group) && k.is_multiple_of(group),
+        "invalid quantization group {group} for K = {k}: \
+         need 1..={MAX_GROUP}, dividing K"
+    );
+}
 
 /// Identifies a registered kernel backend — the runtime selection key
 /// for `LiquidGemm::builder().backend(...)` and the telemetry label on
@@ -57,6 +76,8 @@ pub enum BackendId {
     Lut,
     /// CodeGEMM-style shared codebook of i8 sub-vectors.
     Codebook,
+    /// The W8A8 baseline: plain INT8 rows, no dequant.
+    W8a8,
 }
 
 impl BackendId {
@@ -69,17 +90,19 @@ impl BackendId {
             BackendId::Qoq => "qoq",
             BackendId::Lut => "lut",
             BackendId::Codebook => "codebook",
+            BackendId::W8a8 => "w8a8",
         }
     }
 
     /// Every registered id, in registry order.
     #[must_use]
-    pub const fn all() -> [BackendId; 4] {
+    pub const fn all() -> [BackendId; 5] {
         [
             BackendId::Lqq,
             BackendId::Qoq,
             BackendId::Lut,
             BackendId::Codebook,
+            BackendId::W8a8,
         ]
     }
 
@@ -114,7 +137,7 @@ pub struct BackendCost {
     pub bit_exact: bool,
 }
 
-/// The shared contract of packed W4A8 weights: shape and scale
+/// The shared contract of packed weights: shape and scale
 /// metadata, and block dequantization. `Send + Sync` so one `Arc`
 /// serves the serial kernel and every pool tile job alike.
 pub trait PackedWeights: Send + Sync {
@@ -189,6 +212,7 @@ impl KernelBackend for LqqBackend {
     }
 
     fn pack(&self, w: &Mat<f32>, group: usize) -> Arc<dyn PackedWeights> {
+        check_group(w.cols(), group);
         Arc::new(PackedLqqLinear::quantize(w, group))
     }
 }
@@ -216,18 +240,49 @@ impl KernelBackend for QoqBackend {
     }
 
     fn pack(&self, w: &Mat<f32>, group: usize) -> Arc<dyn PackedWeights> {
+        check_group(w.cols(), group);
         Arc::new(PackedQoqLinear::quantize(w, group))
+    }
+}
+
+/// The W8A8 baseline backend: the level-1 INT8 rows are the MMA
+/// operand, so its "dequant" is a copy and the strip kernel runs it
+/// like any other format.
+pub struct W8a8Backend;
+
+impl KernelBackend for W8a8Backend {
+    fn id(&self) -> BackendId {
+        BackendId::W8a8
+    }
+
+    fn name(&self) -> &'static str {
+        "W8A8 baseline (INT8 rows, no dequant)"
+    }
+
+    fn cost(&self) -> BackendCost {
+        BackendCost {
+            alpha: 0.0,
+            weight_bytes_per_elem: 1.0,
+            overlap_dq: true,
+            bit_exact: true,
+        }
+    }
+
+    fn pack(&self, w: &Mat<f32>, group: usize) -> Arc<dyn PackedWeights> {
+        check_group(w.cols(), group);
+        Arc::new(W8A8Linear::quantize(w, group))
     }
 }
 
 /// The global backend registry, in [`BackendId::all`] order. Entries
 /// are `'static` unit structs, so a `&'static dyn KernelBackend` can be
 /// stored anywhere without lifetime plumbing.
-static REGISTRY: [&dyn KernelBackend; 4] = [
+static REGISTRY: [&dyn KernelBackend; 5] = [
     &LqqBackend,
     &QoqBackend,
     &LutDequantBackend,
     &CodebookGemmBackend,
+    &W8a8Backend,
 ];
 
 /// Every registered backend.
@@ -311,6 +366,40 @@ impl PackedWeights for PackedQoqLinear {
 
     fn weight_bytes(&self) -> usize {
         PackedQoqLinear::weight_bytes(self)
+    }
+}
+
+impl PackedWeights for W8A8Linear {
+    fn backend(&self) -> BackendId {
+        BackendId::W8a8
+    }
+
+    fn n(&self) -> usize {
+        self.q.rows()
+    }
+
+    fn k(&self) -> usize {
+        self.q.cols()
+    }
+
+    fn group(&self) -> usize {
+        self.group
+    }
+
+    fn channel_scales(&self) -> &[f32] {
+        &self.channel_scales
+    }
+
+    fn dequant_block(&self, j: usize, rows: usize, g0: usize, dst: &mut [i8]) {
+        let (kc, _) = block_shape(dst.len(), rows, self.group);
+        let c0 = g0 * self.group;
+        for (row, drow) in (j..).zip(dst.chunks_exact_mut(kc)) {
+            drow.copy_from_slice(&self.q.row(row)[c0..c0 + kc]);
+        }
+    }
+
+    fn weight_bytes(&self) -> usize {
+        self.q.len() + self.channel_scales.len() * 4
     }
 }
 

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights};
+use crate::backend::{check_group, BackendCost, BackendId, KernelBackend, PackedWeights};
 use crate::dequant::block_shape;
 use crate::level1::{quantize_per_channel_i8, PROTECTIVE_MAX};
 use crate::mat::Mat;
@@ -179,7 +179,6 @@ impl PackedCodebookLinear {
             0,
             "group must be a multiple of {CB_ELEMS_PER_WORD}"
         );
-        assert_eq!(k % group, 0, "group must divide K");
         let l1 = quantize_per_channel_i8(w);
         let flat = l1.q.as_slice();
         let codebook = train_codebook(flat);
@@ -289,6 +288,7 @@ impl KernelBackend for CodebookGemmBackend {
     }
 
     fn pack(&self, w: &Mat<f32>, group: usize) -> Arc<dyn PackedWeights> {
+        check_group(w.cols(), group);
         Arc::new(PackedCodebookLinear::quantize(w, group))
     }
 }

@@ -5,7 +5,7 @@
 //! A backend's [`crate::backend::PackedWeights::dequant_block`] turns a
 //! strip's rows × a run of whole groups into INT8 in one call, and the
 //! three nibble backends (LQQ, QoQ, LUT) share one loop for it,
-//! [`dequant_block_nibbles`]: each row's words and parameters are
+//! `dequant_block_nibbles`: each row's words and parameters are
 //! sliced once, each group's parameter is prepared (broadcast) once,
 //! and each word's `(lo, hi)` pair is one 8-byte store. That inner loop
 //! is the shape LLVM vectorises without intrinsics (`vpmulld` and a

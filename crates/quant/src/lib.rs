@@ -18,8 +18,6 @@
 //! * [`smooth`] — SmoothQuant activation-outlier migration with the
 //!   OutlierSuppression+-style grid search used for offline calibration.
 //! * [`act`] — per-token dynamic INT8 activation quantization.
-//! * [`fp8`] / [`fp16`] — E4M3 and IEEE binary16 codecs for the FP8 and
-//!   W4A16/FP16 baseline kernels.
 //! * [`weights`] — the end-to-end two-level pipeline producing a
 //!   [`weights::QuantizedLinear`] ready for the GEMM kernels.
 //! * [`metrics`] — quantization-error metrics (MSE, SQNR, max-abs,
@@ -31,7 +29,8 @@
 //! * [`dequant`] — the uncounted hot-loop SWAR group dequantization the
 //!   LQQ/QoQ backends and kernels share.
 //! * [`packed`] — dual-MMA-packed weight containers for the LQQ and QoQ
-//!   backends.
+//!   backends, and the plain INT8 rows of the W8A8 baseline backend
+//!   (the paper's symmetric-GEMM reference point).
 //! * [`lut`] — the LUT-GEMM-style backend: per-group 16-entry INT8
 //!   dequant tables indexed by the 4-bit codes (bit-exact vs LQQ).
 //! * [`codebook`] — the CodeGEMM-style backend: a shared codebook of
@@ -44,8 +43,6 @@ pub mod act;
 pub mod backend;
 pub mod codebook;
 pub mod dequant;
-pub mod fp16;
-pub mod fp8;
 pub mod level1;
 pub mod lqq;
 pub mod lut;
@@ -63,6 +60,6 @@ pub use level1::{quantize_per_channel_i8, ChannelScale, PROTECTIVE_MAX};
 pub use lqq::{LqqGroup, LqqTensor};
 pub use lut::PackedLutLinear;
 pub use mat::Mat;
-pub use packed::{PackedLqqLinear, PackedQoqLinear};
+pub use packed::{PackedLqqLinear, PackedQoqLinear, W8A8Linear};
 pub use qoq::QoqGroup;
 pub use weights::{QuantScheme, QuantizedLinear};

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use lq_layout::dual_mma::DualMmaWeights;
 
-use crate::backend::{BackendCost, BackendId, KernelBackend, PackedWeights, MAX_GROUP};
+use crate::backend::{check_group, BackendCost, BackendId, KernelBackend, PackedWeights};
 use crate::dequant::dequant_block_nibbles;
 use crate::lqq::{LqqGroup, LqqTensor};
 use crate::mat::Mat;
@@ -89,7 +89,6 @@ impl PackedLutLinear {
     pub fn from_tensor(t: &LqqTensor, channel_scales: Vec<f32>) -> Self {
         assert_eq!(channel_scales.len(), t.rows());
         assert_eq!(t.group() % 8, 0, "group size must be a multiple of 8");
-        assert!(t.group() <= MAX_GROUP, "group exceeds MAX_GROUP");
         let words = DualMmaWeights::pack(&t.values, t.rows(), t.cols());
         Self {
             n: t.rows(),
@@ -163,6 +162,7 @@ impl KernelBackend for LutDequantBackend {
     }
 
     fn pack(&self, w: &Mat<f32>, group: usize) -> Arc<dyn PackedWeights> {
+        check_group(w.cols(), group);
         Arc::new(PackedLutLinear::quantize(w, group))
     }
 }

@@ -1,5 +1,6 @@
-//! Kernel-ready W4A8 weight containers for the two SWAR dequant
-//! schemes, packed in the dual-MMA layout (paper, Section 5.2).
+//! Kernel-ready weight containers for the two SWAR dequant schemes,
+//! packed in the dual-MMA layout (paper, Section 5.2), and for the
+//! W8A8 baseline, whose plain INT8 rows need no dequant at all.
 //!
 //! Each container stores the weights in the exact memory format its
 //! kernel streams, plus the scale metadata its epilogue needs, and
@@ -9,6 +10,7 @@
 //! packed container, and its [`crate::backend::KernelBackend`] entry
 //! live in one crate; `lq-core` re-exports them unchanged.
 
+use crate::level1::quantize_per_channel_i8;
 use crate::lqq::{LqqGroup, LqqTensor};
 use crate::mat::Mat;
 use crate::qoq::{QoqGroup, QoqTensor};
@@ -141,6 +143,35 @@ impl PackedQoqLinear {
     #[must_use]
     pub fn weight_bytes(&self) -> usize {
         self.words.packed_bytes() + self.groups.len() * 2 + self.channel_scales.len() * 4
+    }
+}
+
+/// W8A8 weights: the level-1 INT8 rows as they are, per-channel
+/// scales, no second level — the symmetric-GEMM baseline the paper
+/// states its W4A8 speedups against (Figure 3 right).
+#[derive(Debug, Clone)]
+pub struct W8A8Linear {
+    /// INT8 weights, `N×K`.
+    pub q: Mat<i8>,
+    /// Per-channel scales (length `N`).
+    pub channel_scales: Vec<f32>,
+    /// K-block and K-shard granularity of the kernels; the values do
+    /// not depend on it.
+    pub group: usize,
+}
+
+impl W8A8Linear {
+    /// Quantize FP weights per channel to INT8. The protective-range
+    /// level-1 grid is the one the W4A8 backends start from, so a
+    /// W8A8-vs-W4A8 comparison differs only by the 4-bit second level.
+    #[must_use]
+    pub fn quantize(w: &Mat<f32>, group: usize) -> Self {
+        let l1 = quantize_per_channel_i8(w);
+        Self {
+            q: l1.q,
+            channel_scales: l1.scales.iter().map(|s| s.scale).collect(),
+            group,
+        }
     }
 }
 

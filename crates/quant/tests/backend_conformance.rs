@@ -6,6 +6,7 @@
 
 use lq_quant::backend::{registry, resolve, BackendId, PackedWeights};
 use lq_quant::dequant::dequant8_lqq_raw;
+use lq_quant::level1::quantize_per_channel_i8;
 use lq_quant::lqq::LqqGroup;
 use lq_quant::lut::group_lut;
 use lq_quant::mat::Mat;
@@ -85,6 +86,31 @@ fn every_backend_packs_ragged_shapes() {
     }
 }
 
+/// Every backend rejects a bad group at `pack`, with the one message
+/// of `check_group`: a zero group, a group past `MAX_GROUP` that does
+/// divide K, and a group that does not divide K.
+#[test]
+fn every_backend_rejects_a_bad_group_at_pack_with_one_message() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for (k, group) in [(64usize, 0usize), (1024, 512), (96, 64)] {
+        let wf = Mat::from_fn(2, k, |r, c| ((r * k + c) as f32 * 0.07).cos());
+        for backend in registry() {
+            let id = backend.id();
+            let err = catch_unwind(AssertUnwindSafe(|| drop(backend.pack(&wf, group))))
+                .expect_err(&format!("{id}: K = {k}, group {group} must not pack"));
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.starts_with(&format!("invalid quantization group {group} for K = {k}")),
+                "{id}: K = {k}, group {group}: {msg}"
+            );
+        }
+    }
+}
+
 /// `dequant_block`'s one-group case — the one dequant entry point,
 /// which the serial kernel and every pool job stream through —
 /// reproduces the offline quantizer's INT8 reconstruction
@@ -102,11 +128,15 @@ fn row_dequant_matches_quantizer_oracle_for_every_backend() {
             let id = backend.id();
             let p = backend.pack(&wf, 64);
             let oracle = match id {
-                BackendId::Lqq | BackendId::Lut => Some(QuantScheme::Lqq),
-                BackendId::Qoq => Some(QuantScheme::Qoq),
+                BackendId::Lqq | BackendId::Lut => {
+                    Some(QuantizedLinear::quantize(&wf, 64, QuantScheme::Lqq, None).dequant_to_i8())
+                }
+                BackendId::Qoq => {
+                    Some(QuantizedLinear::quantize(&wf, 64, QuantScheme::Qoq, None).dequant_to_i8())
+                }
+                BackendId::W8a8 => Some(quantize_per_channel_i8(&wf).q),
                 BackendId::Codebook => None,
-            }
-            .map(|scheme| QuantizedLinear::quantize(&wf, 64, scheme, None).dequant_to_i8());
+            };
             let mut got = vec![0i8; 64];
             for j in 0..n {
                 for g in 0..k / 64 {
@@ -150,6 +180,7 @@ fn block_dequant_matches_quantizer_oracle_for_every_backend() {
                 BackendId::Qoq => {
                     QuantizedLinear::quantize(&wf, group, QuantScheme::Qoq, None).dequant_to_i8()
                 }
+                BackendId::W8a8 => quantize_per_channel_i8(&wf).q,
                 BackendId::Codebook => Mat::from_fn(n, k, |r, c| {
                     let mut one = vec![0i8; group];
                     p.dequant_block(r, 1, c / group, &mut one);

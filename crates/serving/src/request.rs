@@ -310,7 +310,7 @@ impl RunStats {
         ls.iter().sum::<f64>() / ls.len() as f64
     }
 
-    /// p-th percentile latency (p in [0,100]) over *finished* requests.
+    /// p-th percentile latency (p in `[0, 100]`) over *finished* requests.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p));

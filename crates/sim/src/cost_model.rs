@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn from_backend_reproduces_the_builtin_configs() {
-        use lq_quant::backend::{LqqBackend, QoqBackend};
+        use lq_quant::backend::{LqqBackend, QoqBackend, W8a8Backend};
         use lq_quant::KernelBackend;
         let lqq = PrecisionCfg::from_backend(&LqqBackend.cost());
         assert_eq!(lqq.tc, PrecisionCfg::LIQUID_W4A8.tc);
@@ -394,6 +394,13 @@ mod tests {
         assert_eq!(qoq.alpha, PrecisionCfg::QSERVE_W4A8.alpha);
         assert_eq!(qoq.overlap_dq, PrecisionCfg::QSERVE_W4A8.overlap_dq);
         assert_eq!(qoq.mt_max, PrecisionCfg::QSERVE_W4A8.mt_max);
+        // The executable W8A8 backend is the simulator's W8A8.
+        let w8 = PrecisionCfg::from_backend(&W8a8Backend.cost());
+        assert_eq!(w8.tc, PrecisionCfg::W8A8.tc);
+        assert_eq!(w8.alpha, PrecisionCfg::W8A8.alpha);
+        assert_eq!(w8.overlap_dq, PrecisionCfg::W8A8.overlap_dq);
+        assert_eq!(w8.mt_max, PrecisionCfg::W8A8.mt_max);
+        assert!((w8.weight_bytes - PrecisionCfg::W8A8.weight_bytes).abs() < 0.05);
     }
 
     #[test]

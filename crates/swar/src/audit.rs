@@ -258,7 +258,7 @@ pub const LQQ_BUDGET: PathBudget = PathBudget {
     alpha: 7.0 / 8.0,
 };
 
-/// QServe QoQ path: 3 (unpack) + 2 × (IMAD + lowered vsub4[7]) = 19 per 8.
+/// QServe QoQ path: 3 (unpack) + 2 × (IMAD + lowered `vsub4` (7)) = 19 per 8.
 pub const QOQ_BUDGET: PathBudget = PathBudget {
     name: "QServe QoQ (vadd-emulated)",
     instrs_per_8: 19,

@@ -16,7 +16,7 @@
 //!   ([`Track::Request`]), so each request's lifecycle renders as its
 //!   own lane.
 //!
-//! Span kinds ([`EventKind::is_span`]) become complete slices
+//! Span kinds ([`crate::EventKind::is_span`]) become complete slices
 //! (`"ph": "X"`) with microsecond `ts`/`dur`; the rest become
 //! thread-scoped instants (`"ph": "i"`, `"s": "t"`). Payloads ride in
 //! `args` (`corr`, `a`, `b`, and `vts_us` when a virtual timestamp is

@@ -1,5 +1,6 @@
 //! The Figure-13 ablation, twice: once measured on real CPU threads
-//! (LQQ vs QoQ dequantization × pipeline variants) and once on the
+//! (LQQ vs QoQ dequantization × pipeline variants, then every
+//! registered backend against the W8A8 baseline) and once on the
 //! warp-group pipeline simulator with H800 throughput numbers.
 //!
 //! Run: `cargo run --release --example ablation`
@@ -70,21 +71,38 @@ fn main() {
     );
     println!("  ImFP over ExCP: {:.2}x", t_excp / t_imfp);
 
-    println!("\n== Dequant-backend sweep (ImFP, {workers} workers, same shapes) ==\n");
-    for backend in registry() {
-        let bw = W4A8Weights::quantize(&w, 64, backend.id());
-        let t = median(3, || {
-            std::hint::black_box(lg.gemm(&qa.q, &qa.scales, &bw, KernelKind::ImFp));
-        });
-        let c = backend.cost();
-        println!(
-            "  {:8} : {:8.2} ms  (model alpha {:4.2}, {:.3} B/elem, overlap {})",
-            backend.id().to_string(),
-            t * 1e3,
-            c.alpha,
-            c.weight_bytes_per_elem,
-            c.overlap_dq
-        );
+    // Every registered backend on the one strip kernel, W8A8 included:
+    // `vs w8a8` is each row's time over the W8A8 row's (the paper's
+    // baseline), at decode (M = 1) and at the pipeline rows' M.
+    let packs: Vec<_> = registry()
+        .iter()
+        .map(|b| (*b, W4A8Weights::quantize(&w, 64, b.id())))
+        .collect();
+    for bm in [1, m] {
+        let qb = QuantizedActivations::quantize(&Mat::from_fn(bm, k, |r, c| *x.get(r, c)), None);
+        println!("\n== Backend sweep (ImFP, {workers} workers, M = {bm}, N = K = {n}) ==\n");
+        let times: Vec<f64> = packs
+            .iter()
+            .map(|(_, bw)| {
+                median(5, || {
+                    std::hint::black_box(lg.gemm(&qb.q, &qb.scales, bw, KernelKind::ImFp));
+                })
+            })
+            .collect();
+        let w8 = packs.iter().position(|(b, _)| b.id() == BackendId::W8a8);
+        let t_w8 = times[w8.expect("w8a8 is registered")];
+        for ((backend, _), t) in packs.iter().zip(&times) {
+            let c = backend.cost();
+            println!(
+                "  {:8} : {:8.3} ms  {:5.2}x vs w8a8  (model alpha {:4.2}, {:.3} B/elem, overlap {})",
+                backend.id().to_string(),
+                t * 1e3,
+                t / t_w8,
+                c.alpha,
+                c.weight_bytes_per_elem,
+                c.overlap_dq
+            );
+        }
     }
 
     println!("\n== Simulated ablation (H800 warp-group pipeline model) ==\n");

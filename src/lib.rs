@@ -8,13 +8,14 @@
 //!   dequantization paths use (IMAD, XOR, PRMT, emulated `vadd4`).
 //! * [`quant`] — LiquidQuant: two-level W4 quantization with the
 //!   overflow-free IMAD+XOR dequantization, the QoQ baseline,
-//!   SmoothQuant calibration, FP8/FP16 codecs.
+//!   SmoothQuant calibration, and the kernel-backend registry.
 //! * [`layout`] — dual-MMA packed weight layout, the `ldmatrix`
 //!   mis-scatter model, bank-conflict accounting.
 //! * [`core`] — the kernels: serial and pipelined (flat / ExCP / ImFP)
-//!   W4A8 GEMM plus W8A8 / W4A16 / FP16 / FP8 baselines, all driven by
-//!   a persistent worker-pool runtime behind the [`core::LiquidGemm`]
-//!   handle (the paper's persistent-kernel scheduling, § 5.4).
+//!   GEMM over every registered backend — the W4A8 formats and the
+//!   W8A8 baseline — all on one strip kernel, driven by a persistent
+//!   worker-pool runtime behind the [`core::LiquidGemm`] handle (the
+//!   paper's persistent-kernel scheduling, § 5.4).
 //! * [`sim`] — A100/H100/H800 hardware model, the paper's cost model
 //!   (Eqs. 3–6), per-system kernel latency models, and the warp-group
 //!   pipeline simulator.
@@ -83,18 +84,19 @@ pub use lq_swar as swar;
 pub use lq_telemetry as telemetry;
 pub use lq_trace as trace;
 
-/// The handle-based API in one import: `use liquidgemm::prelude::*;`.
-///
-/// Covers the four things nearly every program touches — the
-/// persistent GEMM runtime ([`LiquidGemm`] + [`KernelKind`] +
-/// [`W4A8Weights`]), the pluggable dequant-backend registry
-/// ([`BackendId`] / [`KernelBackend`] / [`registry`] / [`resolve`]),
-/// the executable model ([`TinyLlm`]), the serving loop and its API
-/// ([`Request`] / [`Completion`] / [`RunStats`] / [`SchedulerConfig`],
-/// [`ServingRuntime`] and its builder, and [`run_schedule`], the same
-/// loop over the cost-model [`ModelledEngine`]), and the
-/// multi-replica router ([`ServingRouter`], [`TraceConfig`]).
 pub mod prelude {
+    //! The handle-based API in one import: `use liquidgemm::prelude::*;`.
+    //!
+    //! Covers the four things nearly every program touches — the
+    //! persistent GEMM runtime ([`LiquidGemm`] + [`KernelKind`] +
+    //! [`W4A8Weights`]), the pluggable backend registry
+    //! ([`BackendId`] / [`KernelBackend`] / [`registry`] / [`resolve`]),
+    //! the executable model ([`TinyLlm`]), the serving loop and its API
+    //! ([`Request`] / [`Completion`] / [`RunStats`] / [`SchedulerConfig`],
+    //! [`ServingRuntime`] and its builder, and [`run_schedule`], the same
+    //! loop over the cost-model [`ModelledEngine`]), and the
+    //! multi-replica router ([`ServingRouter`], [`TraceConfig`]).
+
     pub use lq_chaos::{FaultAction, FaultInjector, FaultPlan, FaultStats};
     pub use lq_core::{
         GemmOutput, KernelKind, LiquidGemm, LiquidGemmBuilder, ShardConfigError, ShardError,

@@ -3,9 +3,7 @@
 //! consistency.
 
 use liquidgemm::core::api::W4A8Weights;
-use liquidgemm::core::packed::W8A8Linear;
 use liquidgemm::core::reference::{gemm_f32_ref, max_abs_diff};
-use liquidgemm::core::serial::w8a8_serial;
 use liquidgemm::core::{BackendId, KernelKind, LiquidGemm, ParallelConfig};
 use liquidgemm::quant::act::QuantizedActivations;
 use liquidgemm::quant::mat::Mat;
@@ -98,12 +96,11 @@ fn w4a8_tracks_w8a8_within_second_level_error() {
     // level-1 grid: the only extra error is the 4-bit second level.
     let (x, w) = fixture(8, 48, 256, false);
     let qa = QuantizedActivations::quantize(&x, None);
-    let w8 = W8A8Linear::quantize(&w);
-    let y8 = w8a8_serial(&qa.q, &qa.scales, &w8);
+    let lg = handle();
+    let w8 = W4A8Weights::quantize(&w, 64, BackendId::W8a8);
+    let y8 = lg.gemm(&qa.q, &qa.scales, &w8, KernelKind::ImFp).y;
     let weights = W4A8Weights::quantize(&w, 64, BackendId::Lqq);
-    let y4 = handle()
-        .gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial)
-        .y;
+    let y4 = lg.gemm(&qa.q, &qa.scales, &weights, KernelKind::Serial).y;
     let e = error_stats(&y8, &y4);
     assert!(e.cosine > 0.999, "cosine {}", e.cosine);
 }
